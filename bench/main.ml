@@ -13,11 +13,9 @@
    timing the computational kernel behind each artifact (simulation,
    profiling, transformation, analysis). *)
 
-let instrs =
-  ref
-    (match Sys.getenv_opt "CRITICS_BENCH_INSTRS" with
-    | Some s -> int_of_string s
-    | None -> 100_000)
+(* Default budget; CRITICS_BENCH_INSTRS, then --instrs, override it
+   (both validated in the argument parser below). *)
+let instrs = ref 100_000
 
 (* ------------------------- micro benchmarks ----------------------- *)
 
@@ -518,6 +516,9 @@ let () =
       Printf.eprintf "bench: unknown argument %S\n\n" arg;
       usage ()
   in
+  Option.iter
+    (set_int "CRITICS_BENCH_INSTRS" instrs)
+    (Sys.getenv_opt "CRITICS_BENCH_INSTRS");
   parse (List.tl (Array.to_list Sys.argv));
   if !micro_mode then micro ()
   else

@@ -221,160 +221,6 @@ let experiment_cmd =
        ~doc:"Regenerate a table/figure of the paper (or `all')")
     Term.(const run $ id_arg $ instrs_arg $ jobs_arg)
 
-(* ------------------------------- sweep ---------------------------- *)
-
-let sweep_cmd =
-  let scheme_arg =
-    let doc =
-      "Scheme to sweep across every application: "
-      ^ String.concat ", " (List.map Critics.Scheme.name Critics.Scheme.all)
-    in
-    Arg.(value & opt string "critic" & info [ "scheme" ] ~doc)
-  in
-  let jobs_arg =
-    let doc = "Domains to evaluate simulations on." in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let retries_arg =
-    let doc = "Extra attempts granted to transient failures." in
-    Arg.(value & opt int 2 & info [ "retries" ] ~doc)
-  in
-  let fuel_arg =
-    let doc =
-      "Per-job simulation budget in cycles; a job exceeding it aborts \
-       with a timeout error."
-    in
-    Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"CYCLES" ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Batch wall-clock deadline in seconds; pending jobs are skipped \
-       once it passes."
-    in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SEC" ~doc)
-  in
-  let quarantine_arg =
-    let doc = "Failures an app may accumulate before it is quarantined." in
-    Arg.(value & opt int 3 & info [ "quarantine-after" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Fault-injection seed (victims are drawn deterministically)." in
-    Arg.(value & opt int 0 & info [ "inject-seed" ] ~docv:"SEED" ~doc)
-  in
-  let inj n doc = Arg.(value & opt int 0 & info [ n ] ~docv:"N" ~doc) in
-  let transient_arg =
-    inj "inject-transient"
-      "Apps that raise a transient fault on their first attempt."
-  in
-  let fatal_arg = inj "inject-fatal" "Apps that fail fatally on every attempt." in
-  let stall_arg =
-    inj "inject-stall" "Apps whose jobs stall past the fuel watchdog."
-  in
-  let corrupt_arg =
-    inj "inject-corrupt" "Apps whose profile database is corrupted."
-  in
-  let expect_arg =
-    let doc =
-      "Exit 0 only if the batch outcome matches the fault plan exactly: \
-       persistently faulted apps fail or are quarantined, transiently \
-       faulted apps recover via retry, and everything else completes.  \
-       Used by the CI fault-smoke job."
-    in
-    Arg.(value & flag & info [ "expect-injected" ] ~doc)
-  in
-  let run scheme instrs jobs retries fuel deadline quarantine seed transient
-      fatal stall corrupt expect =
-    let scheme =
-      match Critics.Scheme.of_string scheme with
-      | Some s -> s
-      | None ->
-        prerr_endline ("unknown scheme " ^ scheme);
-        exit 1
-    in
-    let apps = Workload.Apps.all in
-    let names = List.map (fun (p : Workload.Profile.t) -> p.name) apps in
-    let faults =
-      Workload.Fault.plan ~seed ~raise_transient:transient ~raise_fatal:fatal
-        ~stall ~corrupt_db:corrupt names
-    in
-    let policy =
-      {
-        Experiments.Harness.default_policy with
-        retries;
-        fuel;
-        wall_deadline_s = deadline;
-        quarantine_after = quarantine;
-      }
-    in
-    let h = Experiments.Harness.create ~instrs ?jobs () in
-    Printf.printf "supervised sweep: %d apps x %s (%d instrs, %d domains)\n"
-      (List.length apps)
-      (Critics.Scheme.name scheme)
-      instrs
-      (Experiments.Harness.jobs h);
-    Printf.printf "fault plan: %s\n\n" (Workload.Fault.to_string faults);
-    let report =
-      Experiments.Harness.run_batch_supervised ~policy ~faults h
-        (List.map (fun p -> Experiments.Harness.job p scheme) apps)
-    in
-    print_string (Experiments.Harness.render_report report);
-    if expect then begin
-      let module H = Experiments.Harness in
-      let persistent_victims =
-        List.filter_map
-          (fun (app, action) ->
-            match action with
-            | Workload.Fault.Raise_transient _ -> None
-            | _ -> Some app)
-          (Workload.Fault.victims faults)
-      in
-      let ok = ref true in
-      let complain fmt = Printf.ksprintf (fun m -> ok := false; prerr_endline m) fmt in
-      List.iter
-        (fun (r : H.job_report) ->
-          let persistent = List.mem r.report_app persistent_victims in
-          match (r.report_outcome, persistent) with
-          | H.Completed, true ->
-            complain "expected %s to fail (persistent fault) but it completed"
-              r.report_app
-          | (H.Failed _ | H.Quarantined _ | H.Skipped _), false ->
-            complain "expected %s to complete but it did not" r.report_app
-          | _ -> ())
-        report.H.reports;
-      (* Transient victims must have recovered via retry. *)
-      List.iter
-        (fun (app, action) ->
-          match action with
-          | Workload.Fault.Raise_transient _ ->
-            List.iter
-              (fun (r : H.job_report) ->
-                if r.report_app = app && r.report_attempts < 2 then
-                  complain "expected %s to retry (attempts >= 2), saw %d" app
-                    r.report_attempts)
-              report.H.reports
-          | _ -> ())
-        (Workload.Fault.victims faults);
-      if !ok then
-        print_endline "expect-injected: outcomes match the fault plan"
-      else begin
-        prerr_endline "expect-injected: MISMATCH";
-        exit 1
-      end
-    end
-    else if report.Experiments.Harness.failures <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Run a supervised batch over every application: per-job failures \
-          are contained, classified and reported; transient failures are \
-          retried; repeat offenders are quarantined.  Deterministic fault \
-          injection (--inject-*) exercises every supervision path.")
-    Term.(
-      const run $ scheme_arg $ instrs_arg $ jobs_arg $ retries_arg $ fuel_arg
-      $ deadline_arg $ quarantine_arg $ seed_arg $ transient_arg $ fatal_arg
-      $ stall_arg $ corrupt_arg $ expect_arg)
-
 (* ------------------------------- trace ---------------------------- *)
 
 let parse_scheme name =
@@ -799,308 +645,6 @@ let cache_cmd =
           is set)")
     [ stat_cmd; clear_cmd ]
 
-(* ------------------------------ serve ----------------------------- *)
-
-(* The fleet-scale ingest service: a synthetic population of per-user
-   profile uploads (Population) pushed through the crash-recoverable
-   sharded engine (Service.Engine) on the domain pool, with the
-   experiment harness's retry policy on contained failures. *)
-
-let serve_cmd =
-  let dir_arg =
-    let doc = "Service state directory (created on first use)." in
-    Arg.(value & opt string "_service" & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
-  let users_arg =
-    let doc =
-      "Synthetic users per app; the workload is this times the 26 Table II \
-       apps."
-    in
-    Arg.(value & opt int 40 & info [ "users" ] ~docv:"N" ~doc)
-  in
-  let shards_arg =
-    let doc = "Shard count (fixed at the directory's creation)." in
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc)
-  in
-  let every_arg =
-    let doc = "WAL records per shard between compacting checkpoints." in
-    Arg.(value & opt int 256 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
-  in
-  let jobs_arg =
-    let doc = "Ingest worker domains (default: CRITICS_JOBS or core count)." in
-    Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
-  in
-  let no_durable_arg =
-    let doc =
-      "Skip fsyncs (throughput mode; the crash contract then only covers \
-       process death, not power loss)."
-    in
-    Arg.(value & flag & info [ "no-durable" ] ~doc)
-  in
-  let chaos_arg =
-    let doc =
-      "Instead of serving, run the deterministic chaos sweep under \
-       $(b,DIR/chaos-sweep): a fault injected at every IO index (sampled \
-       down to at most $(docv) crash points), each case proving recovery \
-       to the last acknowledged upload.  Exits 1 on any contract \
-       violation."
-    in
-    Arg.(value & opt (some int) None & info [ "chaos" ] ~docv:"N" ~doc)
-  in
-  let progress_arg =
-    let doc =
-      "Append one flushed \"acked N\" line to $(docv) per acknowledged \
-       upload (lets an external harness kill the service mid-ingest and \
-       know exactly what was promised)."
-    in
-    Arg.(value & opt (some string) None & info [ "progress" ] ~docv:"FILE" ~doc)
-  in
-  let results_arg =
-    let doc =
-      "Embed the throughput/latency summary as the \"serve\" member of \
-       this BENCH_results.json (created if missing)."
-    in
-    Arg.(value & opt (some string) None & info [ "results" ] ~docv:"FILE" ~doc)
-  in
-  let population users =
-    List.map
-      (fun (u : Workload.Population.upload) ->
-        { Service.Chaos.up_id = u.id; up_app = u.app; up_payload = u.payload })
-      (Workload.Population.generate ~users_per_app:users ())
-  in
-  let run_chaos dir users shards every max_cases =
-    let uploads = population users in
-    Printf.printf
-      "chaos: %d uploads over %d shard(s), checkpoint every %d, at most %d \
-       crash point(s)\n%!"
-      (List.length uploads) shards every max_cases;
-    let rep =
-      Service.Chaos.sweep
-        ~dir:(Filename.concat dir "chaos-sweep")
-        ~shards ~checkpoint_every:every ~max_cases ~uploads ()
-    in
-    print_string (Service.Chaos.render rep);
-    if rep.rep_violations > 0 then exit 1
-  in
-  let embed_results path ~summary =
-    let base =
-      if Sys.file_exists path then
-        try Util.Json.parse (Util.Atomic_io.read_file path)
-        with Util.Json.Parse_error _ -> Util.Json.Obj []
-      else Util.Json.Obj []
-    in
-    let members =
-      match base with Util.Json.Obj ms -> ms | _ -> []
-    in
-    let members =
-      List.remove_assoc "serve" members @ [ ("serve", summary) ]
-    in
-    Util.Atomic_io.write path (Util.Json.to_string (Util.Json.Obj members));
-    Printf.printf "serve summary embedded in %s\n" path
-  in
-  let serve dir users shards every jobs no_durable chaos progress results =
-    match chaos with
-    | Some n -> run_chaos dir users shards every n
-    | None ->
-      let uploads = population users in
-      let cfg =
-        Service.Engine.config ~shards ~checkpoint_every:every
-          ~durable:(not no_durable) dir
-      in
-      let eng, r = Service.Engine.open_ cfg in
-      Printf.printf
-        "recovered %d upload(s) (%d replayed from WAL, %d stale skipped, %d \
-         torn tail(s) repaired)\n\
-         ingesting %d upload(s) from %d apps x %d users...\n\
-         %!"
-        r.rec_uploads r.rec_replayed r.rec_skipped r.rec_torn_tails
-        (List.length uploads)
-        (List.length Workload.Apps.all)
-        users;
-      let progress_oc =
-        Option.map
-          (fun p -> open_out_gen [ Open_append; Open_creat ] 0o644 p)
-          progress
-      in
-      let progress_lock = Mutex.create () in
-      let acked = ref 0 in
-      let note_ack () =
-        match progress_oc with
-        | None -> ()
-        | Some oc ->
-          Mutex.lock progress_lock;
-          incr acked;
-          Printf.fprintf oc "acked %d\n" !acked;
-          flush oc;
-          Mutex.unlock progress_lock
-      in
-      let pool = Parallel.Pool.create ?jobs () in
-      let policy = Experiments.Harness.default_policy in
-      let t0 = Unix.gettimeofday () in
-      let results_list =
-        Parallel.Pool.run_supervised pool
-          (List.map
-             (fun (u : Service.Chaos.upload) () ->
-               let rec attempt round =
-                 let t = Unix.gettimeofday () in
-                 match
-                   Service.Engine.ingest eng ~id:u.up_id ~app:u.up_app
-                     ~payload:u.up_payload
-                 with
-                 | Ok ack ->
-                   note_ack ();
-                   ( int_of_float ((Unix.gettimeofday () -. t) *. 1e6),
-                     ack.Service.Engine.ack_duplicate )
-                 | Error msg ->
-                   if round > policy.Experiments.Harness.retries then
-                     failwith msg
-                   else begin
-                     let d =
-                       Experiments.Harness.backoff_delay_s policy ~round
-                     in
-                     if d > 0.0 then Unix.sleepf d;
-                     attempt (round + 1)
-                   end
-               in
-               attempt 1)
-             uploads)
-      in
-      let wall_s = Unix.gettimeofday () -. t0 in
-      let reg = Telemetry.Registry.create () in
-      let lat = Telemetry.Registry.histogram reg "serve/ingest_us" in
-      let ok = ref 0 and dups = ref 0 and failed = ref 0 in
-      List.iter
-        (function
-          | Ok (us, dup) ->
-            Telemetry.Registry.observe lat us;
-            incr ok;
-            if dup then incr dups
-          | Error (e, _bt) ->
-            incr failed;
-            Printf.eprintf "serve: upload failed: %s\n" (Printexc.to_string e))
-        results_list;
-      Service.Engine.checkpoint eng;
-      let seqs = Service.Engine.shard_seqs eng in
-      let runtime = Service.Engine.runtime eng in
-      let rt name =
-        Telemetry.Registry.counter_value
-          (Telemetry.Registry.counter runtime name)
-      in
-      let total_uploads = Service.Engine.uploads eng in
-      Service.Engine.close eng;
-      let ups = float_of_int !ok /. Float.max wall_s 1e-9 in
-      let p50 = Telemetry.Registry.quantile lat 0.5
-      and p99 = Telemetry.Registry.quantile lat 0.99 in
-      Printf.printf
-        "acked %d upload(s) (%d duplicate(s), %d failed) in %.2fs — %.0f \
-         uploads/s\n\
-         ingest latency: p50 %d us, p99 %d us\n\
-         checkpoints %d (failures %d, rotate failures %d)\n\
-         shard seqs: [%s]\n\
-         store now holds %d distinct upload(s)\n"
-        !ok !dups !failed wall_s ups p50 p99 (rt "service/checkpoints")
-        (rt "service/checkpoint_failures")
-        (rt "service/rotate_failures")
-        (String.concat "; "
-           (Array.to_list (Array.map string_of_int seqs)))
-        total_uploads;
-      Option.iter close_out progress_oc;
-      (match Service.Engine.fsck dir with
-      | Error msg ->
-        Printf.eprintf "fsck: %s\n" msg;
-        exit 1
-      | Ok rep ->
-        if not (Service.Engine.clean ~strict:true rep) then begin
-          prerr_endline "fsck after serving is not clean:";
-          prerr_endline (Service.Engine.render rep);
-          exit 1
-        end);
-      (match results with
-      | None -> ()
-      | Some path ->
-        let f x = Util.Json.Num x in
-        embed_results path
-          ~summary:
-            (Util.Json.Obj
-               [
-                 ("uploads", f (float_of_int !ok));
-                 ("duplicates", f (float_of_int !dups));
-                 ("failed", f (float_of_int !failed));
-                 ("wall_ms", f (wall_s *. 1000.0));
-                 ("uploads_per_s", f ups);
-                 ("p50_us", f (float_of_int p50));
-                 ("p99_us", f (float_of_int p99));
-                 ("shards", f (float_of_int shards));
-                 ("checkpoints", f (float_of_int (rt "service/checkpoints")));
-                 ("store_uploads", f (float_of_int total_uploads));
-               ]));
-      if !failed > 0 then exit 1
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the crash-recoverable sharded profile-ingest service over a \
-          synthetic upload population (or, with $(b,--chaos), prove its \
-          durability contract under deterministic fault injection)")
-    Term.(
-      const serve $ dir_arg $ users_arg $ shards_arg $ every_arg $ jobs_arg
-      $ no_durable_arg $ chaos_arg $ progress_arg $ results_arg)
-
-(* ------------------------------ store ----------------------------- *)
-
-let store_cmd =
-  let dir_arg =
-    let doc = "Service state directory to check." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
-  in
-  let strict_arg =
-    let doc =
-      "Also fail on torn WAL tails (right after a clean shutdown or a \
-       recovery there must be none; right after a kill mid-append one is \
-       expected)."
-    in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let expect_arg =
-    let doc =
-      "Fail unless the store holds at least $(docv) distinct uploads \
-       (acknowledged-upload preservation check for crash harnesses)."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "expect-min-uploads" ] ~docv:"N" ~doc)
-  in
-  let fsck dir strict expect =
-    match Service.Engine.fsck dir with
-    | Error msg ->
-      prerr_endline ("fsck: " ^ msg);
-      exit 1
-    | Ok rep ->
-      print_string (Service.Engine.render rep);
-      let short =
-        match expect with
-        | Some n when rep.Service.Engine.total_uploads < n ->
-          Printf.eprintf "fsck: expected at least %d upload(s), found %d\n" n
-            rep.Service.Engine.total_uploads;
-          true
-        | _ -> false
-      in
-      if short || not (Service.Engine.clean ~strict rep) then exit 1
-  in
-  let fsck_cmd =
-    Cmd.v
-      (Cmd.info "fsck"
-         ~doc:
-           "Read-only integrity walk of a service directory: checkpoint \
-            digests, WAL frames and digests, sequence continuity")
-      Term.(const fsck $ dir_arg $ strict_arg $ expect_arg)
-  in
-  Cmd.group
-    (Cmd.info "store"
-       ~doc:"Inspect the ingest service's durable state")
-    [ fsck_cmd ]
-
 (* ------------------------------ main ----------------------------- *)
 
 let () =
@@ -1112,6 +656,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ apps_cmd; config_cmd; schemes_cmd; run_cmd; compare_cmd;
-            profile_cmd; characterize_cmd; experiment_cmd; sweep_cmd;
-            trace_cmd; report_cmd; check_cmd; cache_cmd; serve_cmd;
-            store_cmd ]))
+            profile_cmd; characterize_cmd; experiment_cmd; trace_cmd;
+            report_cmd; check_cmd; cache_cmd ]))

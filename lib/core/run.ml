@@ -385,15 +385,15 @@ let heat ctx scheme =
     Mutex.unlock c.cache_lock;
     t
 
-let stats ?(config = Pipeline.Config.table_i) ?fuel ?probe ctx scheme =
+let stats ?(config = Pipeline.Config.table_i) ?probe ctx scheme =
   (* The TRRIP policy is the one consumer of block temperatures; other
      policies ignore the hint, so the table is only computed (once per
      scheme) when it can matter. *)
   if config.Pipeline.Config.mem.Mem.Hierarchy.l1i_policy = Mem.Replacement.Trrip
   then
-    Pipeline.Cpu.run_stream ?fuel ?probe ~itemp:(heat ctx scheme) config
+    Pipeline.Cpu.run_stream ?probe ~itemp:(heat ctx scheme) config
       (source ctx scheme)
-  else Pipeline.Cpu.run_stream ?fuel ?probe config (source ctx scheme)
+  else Pipeline.Cpu.run_stream ?probe config (source ctx scheme)
 
 let speedup ~base (st : Pipeline.Stats.t) =
   (float_of_int base.Pipeline.Stats.cycles /. float_of_int st.cycles) -. 1.0

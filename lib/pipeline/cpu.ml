@@ -962,7 +962,7 @@ let run_stream ?(warm = true) ?(checks = false) ?fuel ?on_commit ?probe
   in
   (* Cooperative deadline: the fuel budget bounds simulated cycles, so a
      runaway or stalled job aborts deterministically at the same cycle
-     on every run — the watchdog the supervised harness relies on. *)
+     on every run. *)
   let fuel_limit = match fuel with Some f -> f | None -> max_int in
   while not (finished ()) do
     if !now >= fuel_limit then begin

@@ -114,7 +114,7 @@ let decode k text =
       | _ -> None)
     | _ -> None)
 
-(* Corrupt entries are evidence, not garbage: chaos- or crash-found
+(* Corrupt entries are evidence, not garbage: injected- or crash-found
    corruption is moved aside into [<dir>/corrupt/] (bounded; oldest
    evicted) so it can be post-mortemed, instead of being deleted on
    sight.  The counters are untouched by the move — a corrupt entry is

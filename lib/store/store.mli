@@ -46,7 +46,7 @@ val open_dir :
     stale [*.tmp] files.  Raises [Sys_error] if the directory cannot be
     created.  [quarantine_limit] (default 32) bounds the
     [<dir>/corrupt/] morgue corrupt entries are moved into.  [inject]
-    arms the {!Util.Atomic_io} chaos fault seam on [add]'s installs
+    arms the {!Util.Atomic_io} fault seam on [add]'s installs
     (tests only). *)
 
 val open_default : unit -> t option
@@ -109,7 +109,7 @@ val remove_blob : t -> key -> unit
 
 val quarantine_dir : t -> string
 (** [<dir>/corrupt/], where corrupt entries and blobs are moved so
-    chaos- or crash-found corruption stays post-mortem-able.  Bounded
+    injected- or crash-found corruption stays post-mortem-able.  Bounded
     by the open-time [quarantine_limit]: past it the oldest (mtime,
     then name) quarantined file is evicted.  Quarantined files are not
     cache entries — {!entry_count}, {!total_bytes} and {!clear} ignore

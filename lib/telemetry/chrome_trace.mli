@@ -14,8 +14,7 @@
     - CritIC chain instances are ["b"]/["e"] async spans in category
       ["chain"], one unique [id] per instance so overlapping instances
       of the same chain render as separate slices;
-    - fuel-watchdog and fault-injection hits are ["i"] (instant)
-      events.
+    - fuel-watchdog trips are ["i"] (instant) events.
 
     Ring truncation can orphan the begin of an async pair; orphans are
     filtered at export so emitted JSON always validates. *)

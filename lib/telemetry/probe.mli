@@ -93,8 +93,8 @@ val cdp_marker : t -> cycle:int -> penalty:int -> unit
 (** A CDP switch marker consumed at decode for [penalty] cycles. *)
 
 val fault : t -> cycle:int -> kind:string -> unit
-(** A fuel-watchdog trip or injected fault; counted under
-    ["fault/<kind>"] and emitted as an instant trace event. *)
+(** A fuel-watchdog trip; counted under ["fault/<kind>"] and emitted
+    as an instant trace event. *)
 
 val finish : t -> cycles:int -> unit
 (** Flush the last open window and record end-of-run metrics.

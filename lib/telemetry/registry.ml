@@ -202,100 +202,6 @@ let to_json t =
   Printf.sprintf "{\"counters\":%s,\"gauges\":%s,\"histograms\":%s}" counters
     gauges hists
 
-(* ------------------------- serialization -------------------------- *)
-
-(* Full-fidelity wire form for the ingest service: unlike [to_json]
-   (which summarizes histograms to quantiles), this round-trips every
-   bucket, so [of_bytes] followed by [merge_into] is exactly the merge
-   of the original registries.  Deterministic: metrics sorted by name,
-   names length-framed so any byte is legal in a name. *)
-
-let wire_magic = "CRTREG01"
-
-let to_bytes t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf wire_magic;
-  Buffer.add_char buf '\n';
-  let names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) t.tbl []
-    |> List.sort compare
-  in
-  List.iter
-    (fun name ->
-      let framed = Printf.sprintf "%d:%s" (String.length name) name in
-      match Hashtbl.find t.tbl name with
-      | Counter c -> Buffer.add_string buf (Printf.sprintf "c %s %d\n" framed c.c)
-      | Gauge g -> Buffer.add_string buf (Printf.sprintf "g %s %d\n" framed g.g)
-      | Histogram h ->
-        Buffer.add_string buf
-          (Printf.sprintf "h %s %d %d %d" framed h.n h.sum h.hmax);
-        Array.iter
-          (fun b -> Buffer.add_string buf (Printf.sprintf " %d" b))
-          h.buckets;
-        Buffer.add_char buf '\n')
-    names;
-  Buffer.contents buf
-
-exception Wire of string
-
-let of_bytes text =
-  try
-    let n = String.length text in
-    let pos = ref 0 in
-    let fail fmt = Printf.ksprintf (fun m -> raise (Wire m)) fmt in
-    let line () =
-      match String.index_from_opt text !pos '\n' with
-      | None -> fail "missing newline at byte %d" !pos
-      | Some nl ->
-        let l = String.sub text !pos (nl - !pos) in
-        pos := nl + 1;
-        l
-    in
-    if n < String.length wire_magic + 1 || line () <> wire_magic then
-      raise (Wire "bad magic");
-    let t = create () in
-    let parse_name l at =
-      (* "<len>:<name>" starting at [at]; returns (name, next index) *)
-      match String.index_from_opt l at ':' with
-      | None -> fail "missing name frame"
-      | Some colon -> (
-        match int_of_string_opt (String.sub l at (colon - at)) with
-        | Some len
-          when len >= 0 && colon + 1 + len <= String.length l ->
-          (String.sub l (colon + 1) len, colon + 1 + len)
-        | _ -> fail "bad name frame")
-    in
-    let ints_after l at =
-      String.sub l at (String.length l - at)
-      |> String.split_on_char ' '
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match int_of_string_opt s with
-             | Some v -> v
-             | None -> fail "bad integer %S" s)
-    in
-    while !pos < n do
-      let l = line () in
-      if String.length l < 2 then fail "short line";
-      let name, rest = parse_name l 2 in
-      let vals = ints_after l rest in
-      match (l.[0], vals) with
-      | 'c', [ v ] -> add (counter t name) v
-      | 'g', [ v ] -> set (gauge t name) v
-      | 'h', cnt :: sum :: hmax :: buckets
-        when List.length buckets = num_buckets ->
-        let h = histogram t name in
-        h.n <- cnt;
-        h.sum <- sum;
-        h.hmax <- hmax;
-        List.iteri (fun i b -> h.buckets.(i) <- b) buckets
-      | k, _ -> fail "bad metric line kind %c" k
-    done;
-    Ok t
-  with
-  | Wire msg -> Error msg
-  | Invalid_argument msg -> Error msg
-
 let render t =
   let rows =
     List.map

@@ -96,16 +96,4 @@ val to_json : t -> string
 val render : t -> string
 (** Human-readable two-column table (sorted). *)
 
-val to_bytes : t -> string
-(** Full-fidelity deterministic serialization (every histogram bucket,
-    metrics sorted by name): two registries with equal contents produce
-    byte-identical strings, so a [to_bytes] comparison is a state
-    equality check.  This is the wire and checkpoint format of the
-    profile-ingest service — unlike {!to_json}, it round-trips. *)
-
-val of_bytes : string -> (t, string) result
-(** Parse {!to_bytes} output.  [Error] (never an exception) on any
-    framing, magic or arity violation — a torn or corrupted upload
-    payload must be rejectable, not a crash. *)
-
 val is_empty : t -> bool

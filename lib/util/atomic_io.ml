@@ -6,16 +6,14 @@ exception Injected_crash of string
 
 let enospc op = raise (Unix.Unix_error (Unix.ENOSPC, op, ""))
 
-let with_injection inject ~op thunk =
-  match inject ~op with
-  | Proceed -> thunk ()
-  | Crash | Torn _ -> raise (Injected_crash op)
-  | Fail _ -> enospc op
-
 let opt_injection inject ~op thunk =
   match inject with
   | None -> thunk ()
-  | Some inject -> with_injection inject ~op thunk
+  | Some inject -> (
+    match inject ~op with
+    | Proceed -> thunk ()
+    | Crash | Torn _ -> raise (Injected_crash op)
+    | Fail _ -> enospc op)
 
 (* Unix.write can legitimately write fewer bytes than asked; loop.  The
    injected [Torn]/[Fail] actions persist a prefix first so recovery

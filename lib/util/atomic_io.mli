@@ -13,17 +13,15 @@
     reach the disk, leaving a correctly-named empty or partial file
     after a crash.  [write ~durable:true] closes that window with the
     full fsync discipline — fsync the temp file before the rename and
-    fsync the parent directory after it — which is what the ingest
-    service's WAL rotation, checkpoints, profile-database saves and
-    store installs use.
+    fsync the parent directory after it — which is what
+    profile-database saves and store installs use.
 
     {2 Fault injection}
 
-    Every physical step of a durable write (and of the service WAL's
-    appends) is a {e fault point}: a seeded chaos plan can make any one
-    of them tear, fail with [ENOSPC], or "crash" the process
-    (raise {!Injected_crash}, unwinding without cleanup exactly like a
-    [kill -9] at that instant).  The seam is an optional [inject]
+    Every physical step of a durable write is a {e fault point}: a test
+    injector can make any one of them tear, fail with [ENOSPC], or
+    "crash" the process (raise {!Injected_crash}, unwinding without
+    cleanup exactly like a [kill -9] at that instant).  The seam is an optional [inject]
     callback consulted once per fault point; production code passes
     nothing and pays nothing. *)
 
@@ -42,25 +40,14 @@ type action =
 
 type injector = op:string -> action
 (** Consulted once per fault point with the operation's name
-    ([aio.write], [aio.fsync], [aio.rename], [aio.fsync_dir],
-    [wal.write], [wal.fsync]).  Stateful by construction: a chaos plan
-    counts calls and fires at its chosen index. *)
+    ([aio.write], [aio.fsync], [aio.rename], [aio.fsync_dir]).
+    Stateful by construction: a crash-point sweep counts calls and
+    fires at its chosen index. *)
 
 exception Injected_crash of string
 (** Raised at an injected crash point, carrying the operation name.
     Simulates the process dying there: no cleanup code between the
     fault point and the test harness's recovery path runs. *)
-
-val with_injection : injector -> op:string -> (unit -> unit) -> unit
-(** Run a non-write fault point: consult the injector (when any) and
-    either run the thunk, raise {!Injected_crash}, or raise [ENOSPC].
-    Exposed so other IO seams (the service WAL) share one protocol. *)
-
-val injected_write :
-  injector option -> op:string -> Unix.file_descr -> string -> unit
-(** Write the whole string through the fault seam: [Torn]/[Fail]
-    persist a prefix before raising; a genuinely short [Unix.write]
-    loops.  Exposed for the service WAL. *)
 
 val write : ?durable:bool -> ?inject:injector -> string -> string -> unit
 (** [write path data] atomically replaces [path] with [data].

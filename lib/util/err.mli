@@ -1,86 +1,28 @@
-(** Structured error taxonomy for supervised experiment execution.
+(** Structured error taxonomy for the simulator's named failures.
 
-    Long multi-app sweeps must not abort wholesale when one job
-    misbehaves: the supervision layer (Pool.run_supervised /
-    Harness.run_batch_supervised) classifies every per-job failure into
-    one of five kinds and carries the (app, scheme, config) context it
-    occurred under, so a batch can retry what is retryable, quarantine
-    what is not, and report exactly what went wrong where. *)
+    The cycle core's fuel watchdog raises [Timeout] and the profile
+    database loader raises [Corrupt_input]; any other exception a
+    caller wants to report is converted with {!of_exn} into [Fatal].
+    Bench uses the rendered form to report a failed artifact while the
+    rest of the batch completes. *)
 
 type kind =
-  | Transient  (** expected to succeed on retry (flaky I/O, injected) *)
   | Fatal  (** deterministic failure; retrying cannot help *)
   | Timeout  (** cooperative deadline exceeded (simulation fuel) *)
   | Corrupt_input  (** malformed persistent artifact (profile DB, ...) *)
-  | Cancelled  (** never ran: quarantine, batch deadline, or shutdown *)
 
-type t = {
-  kind : kind;
-  msg : string;
-  app : string option;  (** application the failing job ran on *)
-  scheme : string option;
-  config : string option;
-  attempts : int;  (** executions consumed when the job was given up *)
-  backtrace : string option;
-}
+type t = { kind : kind; msg : string }
 
 exception Error of t
-(** The carrier for every supervised path.  Raw exceptions escaping a
-    job are converted with {!of_exn}. *)
+(** The carrier for every classified failure.  Raw exceptions are
+    converted with {!of_exn}. *)
 
-val make :
-  ?app:string ->
-  ?scheme:string ->
-  ?config:string ->
-  ?backtrace:string ->
-  ?attempts:int ->
-  kind ->
-  string ->
-  t
+val failf : kind -> ('a, unit, string, 'b) format4 -> 'a
+(** Raise [Error] of the given kind with a formatted message. *)
 
-val error :
-  ?app:string ->
-  ?scheme:string ->
-  ?config:string ->
-  ?backtrace:string ->
-  ?attempts:int ->
-  kind ->
-  string ->
-  exn
-(** [Error (make ...)], for [raise]. *)
-
-val fail :
-  ?app:string ->
-  ?scheme:string ->
-  ?config:string ->
-  ?backtrace:string ->
-  ?attempts:int ->
-  kind ->
-  string ->
-  'a
-
-val failf :
-  ?app:string ->
-  ?scheme:string ->
-  ?config:string ->
-  ?backtrace:string ->
-  ?attempts:int ->
-  kind ->
-  ('a, unit, string, 'b) format4 ->
-  'a
-(** [fail] with a format string. *)
-
-val with_context :
-  ?app:string -> ?scheme:string -> ?config:string -> ?attempts:int -> t -> t
-(** Fill in context fields that are still [None] (existing context
-    wins); [attempts], when given, always overwrites. *)
-
-val of_exn : ?backtrace:string -> exn -> t
-(** [Error e] passes through (adopting [backtrace] if [e] has none);
-    anything else becomes [Fatal] with the printed exception. *)
-
-val retryable : t -> bool
-(** [true] iff [kind = Transient]. *)
+val of_exn : exn -> t
+(** [Error e] passes through; anything else becomes [Fatal] with the
+    printed exception. *)
 
 val kind_name : kind -> string
 val to_string : t -> string

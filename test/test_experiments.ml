@@ -1,7 +1,7 @@
 (* Tests for the experiment harness and the cheap experiment entries.
    The full figure suite runs in bench/main.exe; here we verify the
-   machinery: caching, registry completeness, rendering and the worked
-   example's result. *)
+   machinery: caching, registry completeness, rendering, the worked
+   example's result and the bench resume journal. *)
 
 let test_registry_complete () =
   let ids = List.map (fun (e : Experiments.entry) -> e.id) Experiments.all in
@@ -185,6 +185,85 @@ let test_suites_structure () =
       Alcotest.(check bool) (name ^ " non-empty") true (apps <> []))
     Experiments.Harness.suites
 
+(* ------------------------------ journal ---------------------------- *)
+
+let entry id ms : Experiments.Journal.entry =
+  {
+    entry_id = id;
+    wall_ms = ms;
+    minor_words = 789.0;
+    major_words = 123.0;
+    top_heap_words = 456;
+  }
+
+let test_journal_roundtrip () =
+  let e = entry "tab1" 17.5 in
+  (match Experiments.Journal.of_line (Experiments.Journal.to_line e) with
+  | Some e' ->
+    Alcotest.(check string) "id" e.entry_id e'.entry_id;
+    Alcotest.(check (float 0.11)) "wall" e.wall_ms e'.wall_ms;
+    Alcotest.(check (float 0.1)) "minor" e.minor_words e'.minor_words;
+    Alcotest.(check int) "heap" e.top_heap_words e'.top_heap_words
+  | None -> Alcotest.fail "journal line does not parse back");
+  (* Pre-minor_words journal lines still parse (resume across the
+     version boundary), defaulting the missing field to 0. *)
+  (match
+     Experiments.Journal.of_line
+       "{ \"id\": \"tab1\", \"wall_ms\": 17.5, \"major_words\": 123, \
+        \"top_heap_words\": 456 }"
+   with
+  | Some e' ->
+    Alcotest.(check string) "legacy id" "tab1" e'.entry_id;
+    Alcotest.(check (float 0.1)) "legacy minor defaults" 0.0 e'.minor_words
+  | None -> Alcotest.fail "legacy journal line does not parse");
+  Alcotest.(check bool) "garbage line rejected" true
+    (Experiments.Journal.of_line "{ not json" = None)
+
+let test_journal_file_and_truncation () =
+  let path = Filename.temp_file "critics" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Experiments.Journal.reset path;
+      Alcotest.(check (list string)) "fresh journal is empty" []
+        (Experiments.Journal.completed_ids path);
+      Experiments.Journal.append path (entry "tab1" 1.0);
+      Experiments.Journal.append path (entry "tab3" 2.0);
+      Experiments.Journal.append path (entry "tab1" 3.0);
+      (* simulate a kill mid-append: a truncated trailing line *)
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "{ \"id\": \"fig";
+      close_out oc;
+      Alcotest.(check int) "parseable entries survive" 3
+        (List.length (Experiments.Journal.load path));
+      Alcotest.(check (list string)) "ids deduped, first-seen order"
+        [ "tab1"; "tab3" ]
+        (Experiments.Journal.completed_ids path);
+      Experiments.Journal.reset path;
+      Alcotest.(check bool) "reset removes the journal" false
+        (Sys.file_exists path))
+
+(* The torn final line a crash mid-append leaves must be tolerated and
+   counted — resume proceeds with the parseable prefix — while blank
+   lines stay invisible (not torn, not entries). *)
+let test_journal_torn_tail_reported () =
+  let path = Filename.temp_file "critics" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Experiments.Journal.append path (entry "tab1" 1.0);
+      Experiments.Journal.append path (entry "tab3" 2.0);
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "\n{ \"id\": \"fig2\", \"wall_m";
+      close_out oc;
+      let entries, skipped = Experiments.Journal.load_report path in
+      Alcotest.(check int) "torn line counted" 1 skipped;
+      Alcotest.(check (list string)) "prefix survives" [ "tab1"; "tab3" ]
+        (List.map (fun e -> e.Experiments.Journal.entry_id) entries);
+      Alcotest.(check (list string)) "completed_ids tolerates the tear"
+        [ "tab1"; "tab3" ]
+        (Experiments.Journal.completed_ids path))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -211,5 +290,13 @@ let () =
           Alcotest.test_case "default cell shares memo" `Quick
             test_policy_lab_default_cell_shares_memo;
           Alcotest.test_case "small sweep" `Quick test_policy_lab_runs_small;
+        ] );
+      ( "journal",
+        [
+          Alcotest.test_case "line roundtrip" `Quick test_journal_roundtrip;
+          Alcotest.test_case "file + truncated tail" `Quick
+            test_journal_file_and_truncation;
+          Alcotest.test_case "torn tail reported" `Quick
+            test_journal_torn_tail_reported;
         ] );
     ]

@@ -236,6 +236,23 @@ let test_config_variants () =
     (Cfg.with_4x_icache c).mem.Mem.Hierarchy.l1i_size;
   Alcotest.(check bool) "all_hw enables efetch" true (Cfg.all_hw c).efetch
 
+(* The fuel watchdog: a real app under a budget far below its run
+   aborts with a classified [Timeout]; a non-positive budget is a
+   caller error. *)
+let test_fuel_watchdog () =
+  let app = Option.get (Workload.Apps.find "Music") in
+  let ctx = Critics.Run.prepare ~instrs:2_000 app in
+  let src = Critics.Run.source ctx Critics.Scheme.Critic in
+  (match Pipeline.Cpu.run_stream ~fuel:64 Cfg.table_i src with
+  | _ -> Alcotest.fail "64 cycles of fuel completed a real app"
+  | exception Util.Err.Error e ->
+    Alcotest.(check string) "timeout kind"
+      (Util.Err.kind_name Util.Err.Timeout)
+      (Util.Err.kind_name e.kind));
+  match Pipeline.Cpu.run_stream ~fuel:0 Cfg.table_i src with
+  | _ -> Alcotest.fail "fuel 0 accepted"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -256,6 +273,7 @@ let () =
           Alcotest.test_case "empty-population shares" `Quick
             test_empty_summary_shares;
           Alcotest.test_case "wrong-path fetch" `Quick test_wrong_path_fetch_pollutes;
+          Alcotest.test_case "fuel watchdog" `Quick test_fuel_watchdog;
         ] );
       ( "components",
         [

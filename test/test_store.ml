@@ -1,7 +1,7 @@
 (* Prepared-context store: key invalidation, corruption fallback,
-   crash-orphan sweep, LRU resident-context bound, warm-harness reuse,
-   and the allocation-free simulator-core contract this PR's perf work
-   rests on. *)
+   crash-orphan sweep, every-IO crash points, LRU resident-context
+   bound, warm-harness reuse, and the allocation-free simulator-core
+   contract the store's perf work rests on. *)
 
 let fresh_dir () =
   let path = Filename.temp_file "critics-store" "" in
@@ -16,11 +16,11 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let with_store f =
+let with_dir f =
   let dir = fresh_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () -> f dir (Store.open_dir dir))
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let with_store f = with_dir (fun dir -> f dir (Store.open_dir dir))
 
 let app name = Option.get (Workload.Apps.find name)
 
@@ -245,6 +245,56 @@ let test_db_io_sweeps_orphans () =
       Alcotest.(check bool) "orphan gone" false (Sys.file_exists orphan);
       Alcotest.(check int) "idempotent" 0 (Profiler.Db_io.sweep_tmp dir))
 
+(* Store.add under the crash-point discipline: an abort at every IO
+   index of an install must leave the store either without the entry (a
+   plain miss) or with it intact — never with a corrupt visible entry. *)
+let test_store_put_crash_points () =
+  let k = Store.key ~kind:"chaos" [ "payload" ] in
+  let payload = String.concat "/" (List.init 64 string_of_int) in
+  (* Learn the op count from a fault-free install. *)
+  let total =
+    with_dir @@ fun dir ->
+    let count = ref 0 in
+    let inject ~op:_ =
+      incr count;
+      Util.Atomic_io.Proceed
+    in
+    let t = Store.open_dir ~inject dir in
+    Store.add t k payload;
+    Alcotest.(check bool) "fault-free install lands" true
+      (Store.find t k <> None);
+    !count
+  in
+  Alcotest.(check bool) "install has IO ops to abort" true (total > 0);
+  for at = 0 to total - 1 do
+    with_dir @@ fun dir ->
+    let fired = ref false in
+    let count = ref 0 in
+    let inject ~op:_ =
+      let n = !count in
+      incr count;
+      if n = at && not !fired then begin
+        fired := true;
+        if at mod 2 = 0 then Util.Atomic_io.Crash else Util.Atomic_io.Torn 5
+      end
+      else Util.Atomic_io.Proceed
+    in
+    let t = Store.open_dir ~inject dir in
+    (try Store.add t k payload
+     with Util.Atomic_io.Injected_crash _ -> ());
+    (* The next process: orphan sweep, then lookup. *)
+    let t2 = Store.open_dir dir in
+    (match Store.find t2 k with
+    | Some got ->
+      Alcotest.(check string)
+        (Printf.sprintf "crash point %d: visible entry is intact" at)
+        payload got
+    | None -> ());
+    Alcotest.(check int)
+      (Printf.sprintf "crash point %d: no corrupt visible state" at)
+      0 (Store.stats t2).Store.corrupt
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Prepared-context reuse                                             *)
 
@@ -391,6 +441,8 @@ let () =
             test_store_sweeps_orphans;
           Alcotest.test_case "db_io sweeps orphans" `Quick
             test_db_io_sweeps_orphans;
+          Alcotest.test_case "store put crash points" `Quick
+            test_store_put_crash_points;
         ] );
       ( "reuse",
         [
