@@ -242,20 +242,6 @@ let json_results ~jobs ~total_ms ?(telemetry = []) ?(fetch = []) ?cache
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
 
-(* Crash-safe write: a kill mid-write must never leave a truncated
-   BENCH_results.json that validate_smoke would half-parse. *)
-let atomic_write path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc contents;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
 let results_path = "BENCH_results.json"
 let journal_path = "BENCH_journal.jsonl"
 
@@ -281,8 +267,8 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
       (List.length skip) (String.concat " " skip);
   (* Prepared-context store: attached only when CRITICS_CACHE_DIR is
      set, so a default run stays hermetic and a cache-enabled repeat run
-     skips the prewarm wall (contexts, transforms and completed
-     simulations reload from disk). *)
+     skips the prewarm wall (contexts and completed simulations reload
+     from disk). *)
   let cache = Store.open_default () in
   (match cache with
   | Some st ->
@@ -418,7 +404,9 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
       ~fetch:(List.rev !fetch_summaries) ?cache:cache_json
       ?policy_lab:policy_lab_json merged
   in
-  atomic_write results_path json;
+  (* Crash-safe: a kill mid-write must never leave a truncated
+     BENCH_results.json that validate_smoke would half-parse. *)
+  Util.Atomic_io.write results_path json;
   Printf.eprintf "[bench] jobs=%d total=%.1fs — timings in %s\n" jobs
     (total_ms /. 1000.0) results_path;
   (match cache with

@@ -1,29 +1,19 @@
 type scheme_cache = {
   cache_lock : Mutex.t;
-  (* MRU-first, at most [cache_capacity] entries.  Transformed programs
-     of code-heavy apps run to several MB, so retaining every scheme a
-     sweep visits would dominate the heap; one entry covers the hot
-     access pattern (one scheme re-simulated across machine configs,
-     interleaved with baseline — which lives outside the cache) at the
-     price of re-running a cheap compiler pass when a context alternates
-     between transformed schemes. *)
-  mutable entries : (Scheme.t * Prog.Program.t) list;
+  (* The last transformed program.  Transformed programs of code-heavy
+     apps run to several MB, so retaining every scheme a sweep visits
+     would dominate the heap; one slot covers the hot access pattern
+     (one scheme re-simulated across machine configs, interleaved with
+     baseline — which lives outside the cache) at the price of
+     re-running a cheap compiler pass when a context alternates between
+     transformed schemes. *)
+  mutable last : (Scheme.t * Prog.Program.t) option;
   mutable transforms : int;
-  (* Opened trace packs (mmap handles) and their record/replay
-     bookkeeping; packs are tiny resident state (a map + counters), so
-     they are not LRU-bounded like transformed programs. *)
-  mutable packs : (Scheme.t * Prog.Trace.Pack.t) list;
-  mutable pack_replays : int;
-  mutable pack_records : int;
-  mutable pack_corrupt : int;
-  mutable pack_bytes : int;
   (* Per-scheme block-temperature tables for the TRRIP i-cache policy:
-     a few bytes per block, so not LRU-bounded.  Derived state, never
+     a few bytes per block, so not bounded.  Derived state, never
      marshalled with the context payload. *)
   mutable heats : (Scheme.t * int array) list;
 }
-
-let cache_capacity = 1
 
 type app_context = {
   profile : Workload.Profile.t;
@@ -33,7 +23,6 @@ type app_context = {
   event_count : int;
   db : Profiler.Critic_db.t;
   scheme_cache : scheme_cache;
-  store : Store.t option;
   ckey : string;
 }
 
@@ -62,8 +51,7 @@ let context_key ?(instrs = default_instrs) ?(sample = 0)
     ]
 
 (* The tuple a context entry marshals: everything [prepare] derives.
-   The scheme cache is rebuilt fresh (it holds a mutex), and the store
-   handle itself obviously isn't part of the payload. *)
+   The scheme cache is rebuilt fresh (it holds a mutex). *)
 type context_payload =
   Prog.Program.t * int * Prog.Walk.path * int * Profiler.Critic_db.t
 
@@ -74,33 +62,7 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
     context_key ~instrs ~sample ~profile_window ?threshold ~profile_fraction
       profile
   in
-  let pack (program, seed, path, event_count, db) =
-    let scheme_cache =
-      {
-        cache_lock = Mutex.create ();
-        entries = [];
-        transforms = 0;
-        packs = [];
-        pack_replays = 0;
-        pack_records = 0;
-        pack_corrupt = 0;
-        pack_bytes = 0;
-        heats = [];
-      }
-    in
-    {
-      profile;
-      program;
-      seed;
-      path;
-      event_count;
-      db;
-      scheme_cache;
-      store;
-      ckey = Store.key_digest key;
-    }
-  in
-  let build () =
+  let build () : context_payload =
     let program = Workload.Gen.program profile in
     let seed = (profile.seed lxor 0x5EED) + (sample * 0x1000193) in
     let path = Prog.Walk.path_for_instrs program ~seed ~instrs in
@@ -110,121 +72,82 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
         ~fraction:profile_fraction ~total_events:event_count
         (Prog.Trace.Stream.of_program program ~seed path)
     in
-    let payload : context_payload = (program, seed, path, event_count, db) in
-    (match store with
-    | Some st -> Store.add st key (Marshal.to_string payload [])
-    | None -> ());
-    pack payload
+    (program, seed, path, event_count, db)
   in
-  match store with
-  | None -> build ()
-  | Some st -> (
-    match Store.find st key with
-    | None -> build ()
-    | Some bytes -> (
-      match (Marshal.from_string bytes 0 : context_payload) with
-      | payload -> pack payload
-      | exception _ -> build ()))
+  let program, seed, path, event_count, db = Store.memo store key build in
+  {
+    profile;
+    program;
+    seed;
+    path;
+    event_count;
+    db;
+    scheme_cache =
+      { cache_lock = Mutex.create (); last = None; transforms = 0; heats = [] };
+    ckey = Store.key_digest key;
+  }
+
+(* The CritIC pass options behind each scheme the pass builds. *)
+let critic_options : Scheme.t -> Transform.Critic_pass.options option =
+  let open Transform.Critic_pass in
+  function
+  | Scheme.Hoist -> Some { default_options with mode = Hoist_only }
+  | Scheme.Critic -> Some default_options
+  | Scheme.Critic_ideal -> Some ideal_options
+  | Scheme.Critic_branches -> Some { default_options with mode = Branches }
+  | Scheme.Macro_ideal ->
+    Some { ideal_options with mode = Fused_macro; ideal = false }
+  | Scheme.Baseline | Scheme.Opp16 | Scheme.Compress | Scheme.Opp16_critic
+  | Scheme.Narrow_only | Scheme.Critic_reorder ->
+    None
 
 let rec transformed ctx (scheme : Scheme.t) =
-  let critic ?(options = Transform.Critic_pass.default_options) () =
-    fst (Transform.Critic_pass.apply ~options ctx.db ctx.program)
-  in
   let compute () =
-    match scheme with
-    | Scheme.Baseline -> assert false
-    | Scheme.Hoist ->
-      critic
-        ~options:
-          { Transform.Critic_pass.default_options with mode = Hoist_only }
-        ()
-    | Scheme.Critic -> critic ()
-    | Scheme.Critic_ideal ->
-      critic ~options:Transform.Critic_pass.ideal_options ()
-    | Scheme.Critic_branches ->
-      critic
-        ~options:{ Transform.Critic_pass.default_options with mode = Branches }
-        ()
-    | Scheme.Macro_ideal ->
-      critic
-        ~options:
-          {
-            Transform.Critic_pass.ideal_options with
-            mode = Fused_macro;
-            ideal = false;
-          }
-        ()
-    | Scheme.Opp16 -> fst (Transform.Thumb.opp16 ctx.program)
-    | Scheme.Compress -> fst (Transform.Thumb.compress ctx.program)
-    | Scheme.Opp16_critic ->
-      fst (Transform.Thumb.opp16 (transformed ctx Scheme.Critic))
-    | Scheme.Narrow_only ->
-      fst
-        (Transform.Pipeline.run_exn
-           (Transform.Pass.env ctx.db)
-           Transform.Pipeline.narrow_only ctx.program)
-    | Scheme.Critic_reorder ->
-      fst
-        (Transform.Pipeline.run_exn
-           (Transform.Pass.env ctx.db)
-           Transform.Pipeline.reordered ctx.program)
+    match critic_options scheme with
+    | Some options ->
+      fst (Transform.Critic_pass.apply ~options ctx.db ctx.program)
+    | None -> (
+      match scheme with
+      | Scheme.Opp16 -> fst (Transform.Thumb.opp16 ctx.program)
+      | Scheme.Compress -> fst (Transform.Thumb.compress ctx.program)
+      | Scheme.Opp16_critic ->
+        fst (Transform.Thumb.opp16 (transformed ctx Scheme.Critic))
+      | Scheme.Narrow_only ->
+        fst
+          (Transform.Pipeline.run_exn
+             (Transform.Pass.env ctx.db)
+             Transform.Pipeline.narrow_only ctx.program)
+      | Scheme.Critic_reorder ->
+        fst
+          (Transform.Pipeline.run_exn
+             (Transform.Pass.env ctx.db)
+             Transform.Pipeline.reordered ctx.program)
+      | _ -> assert false)
   in
-  (* Store-backed layer under the in-memory memo: a transformed program
-     is a deterministic function of the prepared context (ckey) and the
-     scheme, so warm runs load its marshalled bytes instead of
-     re-running the compiler pipeline. *)
-  (* Returns [(program, ran_compiler)] so the memo below can keep
-     [transforms] an honest count of compiler-pipeline executions:
-     store-served programs don't run the pipeline. *)
-  let materialize () =
-    match ctx.store with
-    | None -> (compute (), true)
-    | Some st -> (
-      let k = Store.key ~kind:"program" [ ctx.ckey; Scheme.name scheme ] in
-      match Store.find st k with
-      | Some bytes -> (
-        match (Marshal.from_string bytes 0 : Prog.Program.t) with
-        | p -> (p, false)
-        | exception _ ->
-          let p = compute () in
-          Store.add st k (Marshal.to_string p []);
-          (p, true))
-      | None ->
-        let p = compute () in
-        Store.add st k (Marshal.to_string p []);
-        (p, true))
+  let cached c =
+    match c.last with Some (s, p) when s = scheme -> Some p | _ -> None
   in
   match scheme with
   | Scheme.Baseline -> ctx.program
-  | _ ->
+  | _ -> (
     (* The mutex makes contexts shareable across the parallel harness's
        domains; passes are deterministic, so a lost race recomputes an
        identical program and the first write wins. *)
     let c = ctx.scheme_cache in
     Mutex.lock c.cache_lock;
-    let hit = List.assoc_opt scheme c.entries in
-    (match hit with
-    | Some p ->
-      if fst (List.hd c.entries) <> scheme then
-        c.entries <-
-          (scheme, p)
-          :: List.filter (fun (s, _) -> s <> scheme) c.entries;
-      Mutex.unlock c.cache_lock;
-      p
+    let hit = cached c in
+    Mutex.unlock c.cache_lock;
+    match hit with
+    | Some p -> p
     | None ->
-      Mutex.unlock c.cache_lock;
-      let p, ran_compiler = materialize () in
+      let p = compute () in
       Mutex.lock c.cache_lock;
       let p =
-        match List.assoc_opt scheme c.entries with
+        match cached c with
         | Some winner -> winner
         | None ->
-          if ran_compiler then c.transforms <- c.transforms + 1;
-          c.entries <-
-            (scheme, p)
-            :: (if List.length c.entries >= cache_capacity then
-                  List.filteri (fun i _ -> i < cache_capacity - 1) c.entries
-                else c.entries);
+          c.transforms <- c.transforms + 1;
+          c.last <- Some (scheme, p);
           p
       in
       Mutex.unlock c.cache_lock;
@@ -232,130 +155,19 @@ let rec transformed ctx (scheme : Scheme.t) =
 
 let transform_count ctx = ctx.scheme_cache.transforms
 
-(* ------------------------------------------------------------------ *)
-(* Trace record/replay.
-
-   With packing enabled and a store attached, a scheme's dynamic event
-   stream is recorded once into a compact binary pack
-   (Prog.Trace.Pack) keyed by (context key x scheme) — the context key
-   already fingerprints program, seed, path and budget — and every
-   subsequent stream request replays the mmap-ed file instead of
-   re-walking the program.  Replay is bit-identical to the live walk
-   (differential-locked), so results are unchanged; what changes is the
-   cost: no per-event address generation, O(batch) replay memory at any
-   budget.  Off by default: recording costs disk (32 bytes/event). *)
-
-(* Read per call (not latched): tests toggle the variable with
-   [Unix.putenv] around individual runs, and the cost is one getenv per
-   stream request. *)
-let pack_enabled_env () =
-  match Sys.getenv_opt "CRITICS_TRACE_PACK" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | Some _ | None -> false
-
-type pack_stats = {
-  replays : int;  (** cursors served from a mapped pack *)
-  records : int;  (** pack files recorded (first-run cost) *)
-  corrupt : int;  (** packs that failed verification (fell back live) *)
-  bytes : int;    (** total file bytes of packs opened for replay *)
-}
-
-let pack_stats ctx =
-  let c = ctx.scheme_cache in
-  Mutex.lock c.cache_lock;
-  let s =
-    {
-      replays = c.pack_replays;
-      records = c.pack_records;
-      corrupt = c.pack_corrupt;
-      bytes = c.pack_bytes;
-    }
-  in
-  Mutex.unlock c.cache_lock;
-  s
-
-let live_stream ctx scheme =
+let stream ctx scheme =
   Prog.Trace.Stream.of_program (transformed ctx scheme) ~seed:ctx.seed
     ctx.path
-
-let pack_for ctx scheme =
-  match ctx.store with
-  | None -> None
-  | Some st when pack_enabled_env () -> (
-    let c = ctx.scheme_cache in
-    Mutex.lock c.cache_lock;
-    let cached = List.assoc_opt scheme c.packs in
-    Mutex.unlock c.cache_lock;
-    match cached with
-    | Some p -> Some p
-    | None ->
-      let key = Store.key ~kind:"tracepack" [ ctx.ckey; Scheme.name scheme ] in
-      let open_verified () =
-        match Store.find_blob st key with
-        | None -> None
-        | Some path -> (
-          match Prog.Trace.Pack.open_file path with
-          | Ok p -> Some p
-          | Error _ ->
-            (* Counted like any corrupt store entry, then removed: the
-               next request re-records; this one walks live. *)
-            Store.remove_blob st key;
-            Mutex.lock c.cache_lock;
-            c.pack_corrupt <- c.pack_corrupt + 1;
-            Mutex.unlock c.cache_lock;
-            None)
-      in
-      let record () =
-        let program = transformed ctx scheme in
-        let ok =
-          Store.add_blob st key (fun tmp ->
-              ignore
-                (Prog.Trace.Pack.record ~path:tmp
-                   (Prog.Trace.Stream.of_program program ~seed:ctx.seed
-                      ctx.path)))
-        in
-        if ok then begin
-          Mutex.lock c.cache_lock;
-          c.pack_records <- c.pack_records + 1;
-          Mutex.unlock c.cache_lock;
-          open_verified ()
-        end
-        else None
-      in
-      let opened =
-        match open_verified () with Some p -> Some p | None -> record ()
-      in
-      (match opened with
-      | None -> None
-      | Some p -> (
-        Mutex.lock c.cache_lock;
-        (* A concurrent domain may have opened its own handle; keep the
-           first and let the duplicate mapping be collected. *)
-        match List.assoc_opt scheme c.packs with
-        | Some winner ->
-          Mutex.unlock c.cache_lock;
-          Some winner
-        | None ->
-          c.packs <- (scheme, p) :: c.packs;
-          c.pack_bytes <- c.pack_bytes + Prog.Trace.Pack.file_bytes p;
-          Mutex.unlock c.cache_lock;
-          Some p)))
-  | Some _ -> None
-
-let stream ctx scheme =
-  match pack_for ctx scheme with
-  | None -> live_stream ctx scheme
-  | Some p ->
-    let c = ctx.scheme_cache in
-    Mutex.lock c.cache_lock;
-    c.pack_replays <- c.pack_replays + 1;
-    Mutex.unlock c.cache_lock;
-    Prog.Trace.Pack.cursor p (transformed ctx scheme)
 
 let source ctx scheme : Pipeline.Cpu.source = fun () -> stream ctx scheme
 
 let trace_of ctx scheme =
   Prog.Trace.expand (transformed ctx scheme) ~seed:ctx.seed ctx.path
+
+let temperatures program source =
+  Profiler.Heat.temperatures
+    (Profiler.Heat.profile ~num_blocks:(Prog.Program.num_blocks program)
+       (source ()))
 
 (* Block temperatures of a scheme's dynamic stream (Profiler.Heat),
    memoized per scheme: the profile is deterministic, so — as with
@@ -369,11 +181,7 @@ let heat ctx scheme =
   match hit with
   | Some t -> t
   | None ->
-    let num_blocks = Prog.Program.num_blocks (transformed ctx scheme) in
-    let t =
-      Profiler.Heat.temperatures
-        (Profiler.Heat.profile ~num_blocks (stream ctx scheme))
-    in
+    let t = temperatures (transformed ctx scheme) (source ctx scheme) in
     Mutex.lock c.cache_lock;
     let t =
       match List.assoc_opt scheme c.heats with
@@ -385,15 +193,54 @@ let heat ctx scheme =
     Mutex.unlock c.cache_lock;
     t
 
-let stats ?(config = Pipeline.Config.table_i) ?probe ctx scheme =
+type variant =
+  | Exact_length of int
+  | Fraction of float
+  | Threshold of float
+  | Metric of Profiler.Metric.t
+
+(* Variant programs are single-use (each sensitivity point simulates
+   once), so they bypass the scheme cache. *)
+let variant_program ctx scheme variant =
+  let options =
+    match critic_options scheme with
+    | Some o -> o
+    | None ->
+      invalid_arg ("Run.stats: no CritIC variant of " ^ Scheme.name scheme)
+  in
+  let reprofile ?fraction ?threshold ?metric () =
+    Profiler.Profile_run.profile_stream ?fraction ?threshold ?metric
+      ~total_events:ctx.event_count
+      (stream ctx Scheme.Baseline)
+  in
+  let db, options =
+    match variant with
+    | Exact_length n ->
+      (Profiler.Critic_db.exact_length n ctx.db, { options with max_len = n })
+    | Fraction fraction -> (reprofile ~fraction (), options)
+    | Threshold threshold -> (reprofile ~threshold (), options)
+    | Metric metric -> (reprofile ~metric (), options)
+  in
+  fst (Transform.Critic_pass.apply ~options db ctx.program)
+
+let stats ?(config = Pipeline.Config.table_i) ?probe ?variant ctx scheme =
+  let source, temps =
+    match variant with
+    | None -> (source ctx scheme, fun () -> heat ctx scheme)
+    | Some v ->
+      let p = variant_program ctx scheme v in
+      let src () = Prog.Trace.Stream.of_program p ~seed:ctx.seed ctx.path in
+      (src, fun () -> temperatures p src)
+  in
   (* The TRRIP policy is the one consumer of block temperatures; other
      policies ignore the hint, so the table is only computed (once per
      scheme) when it can matter. *)
-  if config.Pipeline.Config.mem.Mem.Hierarchy.l1i_policy = Mem.Replacement.Trrip
-  then
-    Pipeline.Cpu.run_stream ?probe ~itemp:(heat ctx scheme) config
-      (source ctx scheme)
-  else Pipeline.Cpu.run_stream ?probe config (source ctx scheme)
+  let itemp =
+    if config.Pipeline.Config.mem.l1i_policy = Mem.Replacement.Trrip then
+      Some (temps ())
+    else None
+  in
+  Pipeline.Cpu.run_stream ?probe ?itemp config source
 
 let speedup ~base (st : Pipeline.Stats.t) =
   (float_of_int base.Pipeline.Stats.cycles /. float_of_int st.cycles) -. 1.0

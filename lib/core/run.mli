@@ -10,11 +10,11 @@
     any machine configuration. *)
 
 type scheme_cache
-(** Small bounded LRU of transformed programs, sized for the hot access
-    pattern — one scheme re-simulated across machine configurations,
-    interleaved with the (uncached) baseline; mutex-protected so
-    contexts can be shared across domains by the parallel experiment
-    harness. *)
+(** A single slot holding the last transformed program, sized for the
+    hot access pattern — one scheme re-simulated across machine
+    configurations, interleaved with the (uncached) baseline;
+    mutex-protected so contexts can be shared across domains by the
+    parallel experiment harness. *)
 
 type app_context = {
   profile : Workload.Profile.t;
@@ -24,9 +24,6 @@ type app_context = {
   event_count : int;      (** events the baseline stream yields *)
   db : Profiler.Critic_db.t;
   scheme_cache : scheme_cache;
-  store : Store.t option;
-      (** prepared-artifact cache consulted by {!transformed}; [None]
-          keeps the context fully hermetic *)
   ckey : string;
       (** content fingerprint of everything this context was prepared
           from (app profile bytes, preparation parameters, code
@@ -81,27 +78,7 @@ val transform_count : app_context -> int
 
 val stream : app_context -> Scheme.t -> Prog.Trace.Stream.cursor
 (** A fresh cursor over the scheme's event stream — the scheme's
-    program expanded lazily over the *same* block path.
-
-    With [CRITICS_TRACE_PACK=1] and a store attached, the stream is
-    recorded once into a compact binary pack ([Prog.Trace.Pack], keyed
-    by context key × scheme in the store) and every subsequent cursor
-    replays the mmap-ed file — bit-identical to the live walk
-    (differential-locked), with no per-event address generation and
-    O(batch) replay memory at any budget.  A pack that fails
-    verification is removed, counted, and the stream falls back to the
-    live walk. *)
-
-type pack_stats = {
-  replays : int;  (** cursors served from a mapped pack *)
-  records : int;  (** pack files recorded (first-run cost) *)
-  corrupt : int;  (** packs that failed verification (fell back live) *)
-  bytes : int;    (** total file bytes of packs opened for replay *)
-}
-
-val pack_stats : app_context -> pack_stats
-(** Record/replay counters for this context (all zero unless packing is
-    enabled). *)
+    program expanded lazily over the *same* block path. *)
 
 val source : app_context -> Scheme.t -> Pipeline.Cpu.source
 (** The replayable form of {!stream}, as the simulator consumes it. *)
@@ -118,17 +95,35 @@ val heat : app_context -> Scheme.t -> int array
     to {!Pipeline.Cpu.run_stream} as [?itemp].  Memoized per scheme on
     the context. *)
 
+type variant =
+  | Exact_length of int
+      (** the context's DB cut to chains of exactly [n] members
+          ({!Profiler.Critic_db.exact_length}), compiled with
+          [max_len = n] — Fig. 12a *)
+  | Fraction of float
+      (** the baseline stream re-profiled over its leading fraction —
+          Fig. 12b *)
+  | Threshold of float  (** re-profiled with this criticality threshold *)
+  | Metric of Profiler.Metric.t
+      (** re-profiled with this chain-criticality metric *)
+(** A CritIC program variant: the scheme's CritIC pass run over a
+    different database — the sensitivity studies' programs. *)
+
 val stats :
   ?config:Pipeline.Config.t ->
   ?probe:Telemetry.Probe.t ->
+  ?variant:variant ->
   app_context ->
   Scheme.t ->
   Pipeline.Stats.t
 (** Simulate a scheme (default machine: Table I), streaming.  [probe]
     attaches a telemetry observer; the returned stats are bit-identical
-    with or without one (see {!Pipeline.Cpu.run_stream}).  When the configuration selects
-    the TRRIP i-cache policy, the scheme's {!heat} table is computed
-    and threaded through automatically. *)
+    with or without one (see {!Pipeline.Cpu.run_stream}).  When the
+    configuration selects the TRRIP i-cache policy, the program's block
+    temperatures ({!heat}) are computed and threaded through
+    automatically.  [variant] simulates that variant of the scheme's
+    program instead (built afresh, not cached); raises
+    [Invalid_argument] for a scheme the CritIC pass does not build. *)
 
 val speedup : base:Pipeline.Stats.t -> Pipeline.Stats.t -> float
 (** Fractional cycle-count improvement over [base] for the same work. *)

@@ -12,154 +12,115 @@ type result = {
 let default_apps () =
   List.filter_map Workload.Apps.find [ "Acrobat"; "Browser"; "Youtube" ]
 
-let cdp_penalties = [ 0; 1; 2 ]
-let iq_sizes = [ 16; 24; 48; 96 ]
-let fetch_queues = [ 8; 16; 24; 48 ]
+(* One row of an ablation table: the simulation each app runs for it. *)
+type setting = {
+  setting : string;
+  config : Pipeline.Config.t;
+  variant : Critics.Run.variant option;
+  scheme : Critics.Scheme.t;
+}
+
+let critic_variant setting variant =
+  {
+    setting;
+    config = Pipeline.Config.table_i;
+    variant = Some variant;
+    scheme = Critics.Scheme.Critic;
+  }
+
+let machine setting config scheme = { setting; config; variant = None; scheme }
+
+let thresholds =
+  List.map
+    (fun t ->
+      critic_variant
+        (Printf.sprintf "threshold %.0f" t)
+        (Critics.Run.Threshold t))
+    [ 2.0; 3.0; 4.0; 6.0; 8.0 ]
+
+let metrics =
+  List.map
+    (fun m -> critic_variant (Profiler.Metric.name m) (Critics.Run.Metric m))
+    Profiler.Metric.all
+
+let cdp_penalties =
+  List.map
+    (fun p ->
+      machine
+        (Printf.sprintf "cdp penalty %d" p)
+        { Pipeline.Config.table_i with cdp_decode_penalty = p }
+        Critics.Scheme.Critic)
+    [ 0; 1; 2 ]
+
+(* Baseline-machine sensitivity, reported as cycle change of the
+   *baseline* scheme on the modified machine. *)
+let iq_sizes =
+  List.map
+    (fun iq ->
+      machine (Printf.sprintf "iq %d" iq)
+        { Pipeline.Config.table_i with iq }
+        Critics.Scheme.Baseline)
+    [ 16; 24; 48; 96 ]
+
+let fetch_queues =
+  List.map
+    (fun fq ->
+      machine
+        (Printf.sprintf "fetchq %d" fq)
+        { Pipeline.Config.table_i with fetch_queue = fq }
+        Critics.Scheme.Baseline)
+    [ 8; 16; 24; 48 ]
+
+let wrong_path =
+  [
+    machine "wrong-path fetch on"
+      { Pipeline.Config.table_i with wrong_path_fetch = true }
+      Critics.Scheme.Baseline;
+  ]
+
+let job app s = Harness.job ~config:s.config ?variant:s.variant app s.scheme
+
+let jobs_of settings apps =
+  List.concat_map
+    (fun app ->
+      Harness.job app Critics.Scheme.Baseline
+      :: List.map (job app) settings)
+    apps
 
 let jobs ?apps () =
   let apps = match apps with Some a -> a | None -> default_apps () in
-  List.concat_map
-    (fun app ->
-      (Harness.job app Critics.Scheme.Baseline
-      :: List.map
-           (fun p ->
-             Harness.job
-               ~config:{ Pipeline.Config.table_i with cdp_decode_penalty = p }
-               app Critics.Scheme.Critic)
-           cdp_penalties)
-      @ List.map
-          (fun iq ->
-            Harness.job
-              ~config:{ Pipeline.Config.table_i with iq }
-              app Critics.Scheme.Baseline)
-          iq_sizes
-      @ List.map
-          (fun fq ->
-            Harness.job
-              ~config:{ Pipeline.Config.table_i with fetch_queue = fq }
-              app Critics.Scheme.Baseline)
-          fetch_queues
-      @ [
-          Harness.job
-            ~config:{ Pipeline.Config.table_i with wrong_path_fetch = true }
-            app Critics.Scheme.Baseline;
-        ])
-    apps
-
-(* Split [xs] into consecutive groups of [k]. *)
-let rec groups_of k xs =
-  match xs with
-  | [] -> []
-  | _ ->
-    let rec take n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (n - 1) (x :: acc) rest
-    in
-    let g, rest = take k [] xs in
-    g :: groups_of k rest
+  jobs_of (cdp_penalties @ iq_sizes @ fetch_queues @ wrong_path) apps
 
 let run ?apps h =
   let apps = match apps with Some a -> a | None -> default_apps () in
-  let mean_over f = Harness.mean (List.map f apps) in
-  (* Fan settings × apps out over the harness pool (each task profiles
-     the trace afresh and runs a full simulation); regroup in order so
-     the per-setting means match a sequential run exactly. *)
-  let sweep settings label speedup_of =
-    let tasks =
-      List.concat_map (fun s -> List.map (fun a -> (s, a)) apps) settings
-    in
-    let per =
-      Parallel.Pool.map_list ~chunk:1 (Harness.pool h)
-        (fun (s, app) -> speedup_of s app)
-        tasks
-    in
-    List.map2
-      (fun s group -> { label = label s; speedup = Harness.mean group })
-      settings
-      (groups_of (List.length apps) per)
-  in
-  let critic_speedup_with_db make_db (app : Workload.Profile.t) =
-    let ctx = Harness.context h app in
-    let base = Harness.stats h app Critics.Scheme.Baseline in
-    let db = make_db ctx in
-    let program =
-      fst (Transform.Critic_pass.apply db ctx.Critics.Run.program)
-    in
-    let st =
-      Pipeline.Cpu.run_stream Pipeline.Config.table_i (fun () ->
-          Prog.Trace.Stream.of_program program ~seed:ctx.seed ctx.path)
-    in
-    Critics.Run.speedup ~base st
-  in
-  let threshold =
-    sweep [ 2.0; 3.0; 4.0; 6.0; 8.0 ]
-      (fun t -> Printf.sprintf "threshold %.0f" t)
-      (fun t ->
-        critic_speedup_with_db (fun ctx ->
-            Profiler.Profile_run.profile_stream ~threshold:t
-              ~total_events:ctx.Critics.Run.event_count
-              (Critics.Run.stream ctx Critics.Scheme.Baseline)))
-  in
-  let metric =
-    sweep Profiler.Metric.all Profiler.Metric.name (fun m ->
-        critic_speedup_with_db (fun ctx ->
-            Profiler.Profile_run.profile_stream ~metric:m
-              ~total_events:ctx.Critics.Run.event_count
-              (Critics.Run.stream ctx Critics.Scheme.Baseline)))
-  in
-  let cdp_penalty =
-    List.map
-      (fun p ->
-        let config = { Pipeline.Config.table_i with cdp_decode_penalty = p } in
+  Harness.run_batch h
+    (jobs_of
+       (thresholds @ metrics @ cdp_penalties @ iq_sizes @ fetch_queues
+      @ wrong_path)
+       apps);
+  (* Per-setting means over the apps in order, as a sequential run
+     sums them. *)
+  let section =
+    List.map (fun s ->
         {
-          label = Printf.sprintf "cdp penalty %d" p;
+          label = s.setting;
           speedup =
-            mean_over (fun app ->
-                let base = Harness.stats h app Critics.Scheme.Baseline in
-                Critics.Run.speedup ~base
-                  (Harness.stats h
-                     ~config_name:(Printf.sprintf "cdp%d" p)
-                     ~config app Critics.Scheme.Critic));
+            Harness.mean
+              (List.map
+                 (fun app ->
+                   Harness.speedup h ~config:s.config ?variant:s.variant app
+                     s.scheme)
+                 apps);
         })
-      cdp_penalties
   in
-  let machine_point name config =
-    (* Baseline-machine sensitivity, reported as cycle change of the
-       *baseline* scheme on the modified machine. *)
-    {
-      label = name;
-      speedup =
-        mean_over (fun app ->
-            let base = Harness.stats h app Critics.Scheme.Baseline in
-            Critics.Run.speedup ~base
-              (Harness.stats h ~config_name:name ~config app
-                 Critics.Scheme.Baseline));
-    }
-  in
-  let iq_size =
-    List.map
-      (fun iq ->
-        machine_point
-          (Printf.sprintf "iq %d" iq)
-          { Pipeline.Config.table_i with iq })
-      iq_sizes
-  in
-  let fetch_queue =
-    List.map
-      (fun fq ->
-        machine_point
-          (Printf.sprintf "fetchq %d" fq)
-          { Pipeline.Config.table_i with fetch_queue = fq })
-      fetch_queues
-  in
-  let wrong_path =
-    [
-      machine_point "wrong-path fetch on"
-        { Pipeline.Config.table_i with wrong_path_fetch = true };
-    ]
-  in
-  { threshold; metric; cdp_penalty; iq_size; fetch_queue; wrong_path }
+  {
+    threshold = section thresholds;
+    metric = section metrics;
+    cdp_penalty = section cdp_penalties;
+    iq_size = section iq_sizes;
+    fetch_queue = section fetch_queues;
+    wrong_path = section wrong_path;
+  }
 
 let render r =
   let section title points =

@@ -23,8 +23,9 @@ type result = {
 }
 
 val jobs : ?apps:Workload.Profile.t list -> unit -> Harness.job list
-(** Every memoized simulation [run] needs, for {!Harness.run_batch}
-    prewarming (the profiler sweeps are fanned out by [run] itself). *)
+(** The machine-configuration simulations [run] needs, for
+    {!Harness.run_batch} prewarming.  The re-profiled variant jobs
+    (threshold, metric) are left out: [run] submits them itself. *)
 
 val run : ?apps:Workload.Profile.t list -> Harness.t -> result
 (** Defaults to three representative mobile apps to bound runtime. *)

@@ -9,83 +9,63 @@ type coverage_point = { fraction : float; speedup : float }
 
 type result = { lengths : length_point list; coverage : coverage_point list }
 
-let apply_critic ?(max_len = 5) ctx db =
-  let options = { Transform.Critic_pass.default_options with max_len } in
-  fst (Transform.Critic_pass.apply ~options db ctx.Critics.Run.program)
-
-let run_transformed (ctx : Critics.Run.app_context) program =
-  Pipeline.Cpu.run_stream Pipeline.Config.table_i (fun () ->
-      Prog.Trace.Stream.of_program program ~seed:ctx.seed ctx.path)
-
-(* Split [xs] into consecutive groups of [k]. *)
-let rec groups_of k xs =
-  match xs with
-  | [] -> []
-  | _ ->
-    let rec take n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (n - 1) (x :: acc) rest
-    in
-    let g, rest = take k [] xs in
-    g :: groups_of k rest
+let chain_lengths = [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+let fractions = [ 0.125; 0.25; 0.375; 0.5; 0.75; 1.0 ]
 
 let run h =
   let mobile = List.assoc "Mobile" Harness.suites in
-  (* Both sensitivity sweeps re-transform and re-simulate per (setting,
-     app) — independent work, fanned out over the harness pool and
-     regrouped in input order so each mean matches a sequential run. *)
-  let fan settings per_point =
-    let tasks =
-      List.concat_map (fun s -> List.map (fun a -> (s, a)) mobile) settings
-    in
-    let per =
-      Parallel.Pool.map_list ~chunk:1 (Harness.pool h)
-        (fun (s, app) -> per_point s app)
-        tasks
-    in
-    List.combine settings (groups_of (List.length mobile) per)
+  let variants =
+    List.map (fun n -> Critics.Run.Exact_length n) chain_lengths
+    @ List.map (fun f -> Critics.Run.Fraction f) fractions
+  in
+  Harness.run_batch h
+    (List.concat_map
+       (fun app ->
+         Harness.job app Critics.Scheme.Baseline
+         :: List.map
+              (fun variant -> Harness.job ~variant app Critics.Scheme.Critic)
+              variants)
+       mobile);
+  (* Each setting's per-app values in suite order, so every mean sums
+     in the same order. *)
+  let per_app variant f =
+    List.map
+      (fun app ->
+        f app
+          (Harness.stats h app Critics.Scheme.Baseline)
+          (Harness.stats h ~variant app Critics.Scheme.Critic))
+      mobile
   in
   let lengths =
     List.map
-      (fun (n, per_app) ->
+      (fun n ->
+        let mean f = Harness.mean (per_app (Critics.Run.Exact_length n) f) in
         {
           n;
-          speedup = Harness.mean (List.map (fun (s, _, _) -> s) per_app);
-          fetch_saving = Harness.mean (List.map (fun (_, f, _) -> f) per_app);
-          coverage = Harness.mean (List.map (fun (_, _, c) -> c) per_app);
+          speedup = mean (fun _ base st -> Critics.Run.speedup ~base st);
+          fetch_saving =
+            mean (fun _ (base : Pipeline.Stats.t) st ->
+                float_of_int (base.fetch_idle_supply - st.fetch_idle_supply)
+                /. float_of_int base.cycles);
+          coverage =
+            mean (fun app _ _ ->
+                Profiler.Critic_db.coverage
+                  (Profiler.Critic_db.exact_length n
+                     (Harness.context h app).Critics.Run.db));
         })
-      (fan
-         [ 2; 3; 4; 5; 6; 7; 8; 9 ]
-         (fun n app ->
-           let ctx = Harness.context h app in
-           let base = Harness.stats h app Critics.Scheme.Baseline in
-           let db = Profiler.Critic_db.exact_length n ctx.db in
-           let st = run_transformed ctx (apply_critic ~max_len:n ctx db) in
-           let cyc = float_of_int base.Pipeline.Stats.cycles in
-           ( Critics.Run.speedup ~base st,
-             float_of_int
-               (base.Pipeline.Stats.fetch_idle_supply
-               - st.Pipeline.Stats.fetch_idle_supply)
-             /. cyc,
-             Profiler.Critic_db.coverage db )))
+      chain_lengths
   in
   let coverage =
     List.map
-      (fun (fraction, per_app) ->
-        { fraction; speedup = Harness.mean per_app })
-      (fan
-         [ 0.125; 0.25; 0.375; 0.5; 0.75; 1.0 ]
-         (fun fraction app ->
-           let ctx = Harness.context h app in
-           let base = Harness.stats h app Critics.Scheme.Baseline in
-           let db =
-             Profiler.Profile_run.profile_stream ~fraction
-               ~total_events:ctx.Critics.Run.event_count
-               (Critics.Run.stream ctx Critics.Scheme.Baseline)
-           in
-           let st = run_transformed ctx (apply_critic ctx db) in
-           Critics.Run.speedup ~base st))
+      (fun fraction ->
+        {
+          fraction;
+          speedup =
+            Harness.mean
+              (per_app (Critics.Run.Fraction fraction) (fun _ base st ->
+                   Critics.Run.speedup ~base st));
+        })
+      fractions
   in
   { lengths; coverage }
 

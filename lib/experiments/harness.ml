@@ -1,6 +1,7 @@
 type job = {
   job_profile : Workload.Profile.t;
   job_scheme : Critics.Scheme.t option; (* None: prepare the context only *)
+  job_variant : Critics.Run.variant option;
   job_config : Pipeline.Config.t;
 }
 
@@ -59,21 +60,33 @@ let context_evictions t =
   Mutex.unlock t.lock;
   n
 
-(* The memoization key depends on the *actual* machine configuration,
-   not on a caller-supplied label: Config.t is a pure data record, so a
-   digest of its marshalled bytes is a canonical fingerprint.  Callers
-   passing a custom [?config] without a [?config_name] used to collide
-   with the default "table_i" entry and read back stale stats; two
-   different labels for structurally equal configs also no longer run
-   the simulation twice. *)
-let config_fingerprint (config : Pipeline.Config.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string config []))
+let job ?(config = Pipeline.Config.table_i) ?variant profile scheme =
+  {
+    job_profile = profile;
+    job_scheme = Some scheme;
+    job_variant = variant;
+    job_config = config;
+  }
 
-let default_fingerprint = config_fingerprint Pipeline.Config.table_i
+let context_job profile =
+  {
+    job_profile = profile;
+    job_scheme = None;
+    job_variant = None;
+    job_config = Pipeline.Config.table_i;
+  }
 
-let result_key (profile : Workload.Profile.t) scheme fingerprint =
-  Printf.sprintf "%s/%s/%s" profile.name (Critics.Scheme.name scheme)
-    fingerprint
+(* The one key of a simulation: a digest of the job's marshalled values,
+   so it follows the *actual* machine configuration and variant, not a
+   caller-supplied label — distinct values never collide and
+   structurally equal ones share one entry.  No sharing: equal values
+   must marshal to equal bytes whatever their physical sharing. *)
+let job_key j =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (j.job_profile.name, j.job_scheme, j.job_variant, j.job_config)
+          [ Marshal.No_sharing ]))
 
 (* -------- bounded-LRU resident contexts (all under [t.lock]) ------- *)
 
@@ -140,77 +153,49 @@ let context t (profile : Workload.Profile.t) =
     ctx
 
 (* The single simulation entry point every memoized path funnels
-   through.  With telemetry enabled it attaches a fresh probe and — only
-   if the run completes — stores it under the same memo key as the
-   stats, first insert winning.  Every job is deterministic, so a lost
+   through.  Without telemetry the store memo sits under the in-memory
+   one: a completed simulation is a deterministic function of the
+   prepared context (ckey) and the job, so warm runs deserialize the
+   stats instead of simulating.  With telemetry it attaches a fresh
+   probe and — only if the run completes — stores it under the job's
+   key, first insert winning.  Every job is deterministic, so a lost
    race stores an identical probe; failed runs leave neither stats nor
    probe behind. *)
-let simulate t ?config ~key ctx scheme =
+let simulate t ~key ctx j scheme =
+  let run ?probe () =
+    Critics.Run.stats ~config:j.job_config ?probe ?variant:j.job_variant ctx
+      scheme
+  in
   match t.telemetry with
-  | None -> (
-    match t.store with
-    | None -> Critics.Run.stats ?config ctx scheme
-    | Some st -> (
-      (* Store-backed layer under the in-memory memo: a completed
-         simulation is a deterministic function of the prepared context
-         (ckey), the scheme and the machine configuration, so warm runs
-         deserialize the stats instead of simulating. *)
-      let fp =
-        match config with
-        | None -> default_fingerprint
-        | Some c -> config_fingerprint c
-      in
-      let k =
-        Store.key ~kind:"stats"
-          [ ctx.Critics.Run.ckey; Critics.Scheme.name scheme; fp ]
-      in
-      let run_and_add () =
-        let s = Critics.Run.stats ?config ctx scheme in
-        Store.add st k (Marshal.to_string s []);
-        s
-      in
-      match Store.find st k with
-      | None -> run_and_add ()
-      | Some bytes -> (
-        match (Marshal.from_string bytes 0 : Pipeline.Stats.t) with
-        | s -> s
-        | exception _ -> run_and_add ())))
+  | None ->
+    Store.memo t.store
+      (Store.key ~kind:"stats" [ ctx.Critics.Run.ckey; key ])
+      (fun () -> run ())
   | Some window ->
     let probe = Telemetry.Probe.create ~window () in
-    let st = Critics.Run.stats ?config ~probe ctx scheme in
+    let st = run ~probe () in
     Mutex.lock t.lock;
     if not (Hashtbl.mem t.probes key) then Hashtbl.replace t.probes key probe;
     Mutex.unlock t.lock;
     st
 
-let stats t ?config_name ?config (profile : Workload.Profile.t) scheme =
-  ignore config_name;
-  let fingerprint =
-    match config with
-    | None -> default_fingerprint
-    | Some c -> config_fingerprint c
-  in
-  let key = result_key profile scheme fingerprint in
+let stats t ?config ?variant profile scheme =
+  let j = job ?config ?variant profile scheme in
+  let key = job_key j in
   Mutex.lock t.lock;
   let cached = Hashtbl.find_opt t.results key in
   Mutex.unlock t.lock;
   match cached with
   | Some st -> st
   | None ->
-    let ctx = context t profile in
-    let st = simulate t ?config ~key ctx scheme in
+    let st = simulate t ~key (context t profile) j scheme in
     Mutex.lock t.lock;
     Hashtbl.replace t.results key st;
     Mutex.unlock t.lock;
     st
 
-let probe_for t ?config (profile : Workload.Profile.t) scheme =
-  let fingerprint =
-    match config with
-    | None -> default_fingerprint
-    | Some c -> config_fingerprint c
-  in
-  let key = result_key profile scheme fingerprint in
+let probe_for t ?config ?variant profile scheme =
+  let key = job_key (job ?config ?variant profile scheme) in
   Mutex.lock t.lock;
   let p = Hashtbl.find_opt t.probes key in
   Mutex.unlock t.lock;
@@ -222,17 +207,14 @@ let telemetry_probes t =
   Mutex.unlock t.lock;
   List.sort (fun (a, _) (b, _) -> compare a b) l
 
+(* The distinct simulation keys a job set names. *)
+let sim_keys jobs =
+  List.filter_map
+    (fun j -> if j.job_scheme = None then None else Some (job_key j))
+    jobs
+  |> List.sort_uniq compare
+
 let telemetry_registry_for t jobs =
-  let keys =
-    List.filter_map
-      (fun j ->
-        Option.map
-          (fun scheme ->
-            result_key j.job_profile scheme (config_fingerprint j.job_config))
-          j.job_scheme)
-      jobs
-    |> List.sort_uniq compare
-  in
   let into = Telemetry.Registry.create () in
   List.iter
     (fun key ->
@@ -243,24 +225,14 @@ let telemetry_registry_for t jobs =
       | Some p ->
         Telemetry.Registry.merge_into ~into (Telemetry.Probe.registry p)
       | None -> ())
-    keys;
+    (sim_keys jobs);
   into
 
 (* Fetch-bandwidth aggregate over a job set's memoized results: total
    instruction bytes delivered and total simulated cycles, summed over
-   the distinct (app, scheme, config) simulations the jobs name.  Jobs
-   not yet simulated contribute nothing. *)
+   the distinct simulations the jobs name.  Jobs not yet simulated
+   contribute nothing. *)
 let fetch_totals_for t jobs =
-  let keys =
-    List.filter_map
-      (fun j ->
-        Option.map
-          (fun scheme ->
-            result_key j.job_profile scheme (config_fingerprint j.job_config))
-          j.job_scheme)
-      jobs
-    |> List.sort_uniq compare
-  in
   List.fold_left
     (fun (bytes, cycles) key ->
       Mutex.lock t.lock;
@@ -270,7 +242,7 @@ let fetch_totals_for t jobs =
       | Some (s : Pipeline.Stats.t) ->
         (bytes + s.fetch_bytes, cycles + s.cycles)
       | None -> (bytes, cycles))
-    (0, 0) keys
+    (0, 0) (sim_keys jobs)
 
 let cache_registry t =
   let reg = Telemetry.Registry.create () in
@@ -278,28 +250,6 @@ let cache_registry t =
   Telemetry.Registry.add
     (Telemetry.Registry.counter reg "harness/context_evict")
     (context_evictions t);
-  (* Trace-pack record/replay counters, summed over resident contexts.
-     (Contexts evicted from the LRU take their counters with them; the
-     store's own hit/miss counters above remain cumulative.) *)
-  let packs =
-    Mutex.lock t.lock;
-    let l = Hashtbl.fold (fun _ ctx acc -> ctx :: acc) t.contexts [] in
-    Mutex.unlock t.lock;
-    List.map Critics.Run.pack_stats l
-  in
-  let sum f = List.fold_left (fun a p -> a + f p) 0 packs in
-  Telemetry.Registry.add
-    (Telemetry.Registry.counter reg "trace_pack/replays")
-    (sum (fun (p : Critics.Run.pack_stats) -> p.replays));
-  Telemetry.Registry.add
-    (Telemetry.Registry.counter reg "trace_pack/records")
-    (sum (fun (p : Critics.Run.pack_stats) -> p.records));
-  Telemetry.Registry.add
-    (Telemetry.Registry.counter reg "trace_pack/corrupt")
-    (sum (fun (p : Critics.Run.pack_stats) -> p.corrupt));
-  Telemetry.Registry.add
-    (Telemetry.Registry.counter reg "trace_pack/bytes")
-    (sum (fun (p : Critics.Run.pack_stats) -> p.bytes));
   reg
 
 let telemetry_registry t =
@@ -313,25 +263,11 @@ let telemetry_registry t =
     (telemetry_probes t);
   into
 
-let speedup t ?config_name ?config profile scheme =
+let speedup t ?config ?variant profile scheme =
   let base = stats t profile Critics.Scheme.Baseline in
-  Critics.Run.speedup ~base (stats t ?config_name ?config profile scheme)
+  Critics.Run.speedup ~base (stats t ?config ?variant profile scheme)
 
 (* ------------------------------ batches --------------------------- *)
-
-let job ?config profile scheme =
-  {
-    job_profile = profile;
-    job_scheme = Some scheme;
-    job_config = (match config with Some c -> c | None -> Pipeline.Config.table_i);
-  }
-
-let context_job profile =
-  {
-    job_profile = profile;
-    job_scheme = None;
-    job_config = Pipeline.Config.table_i;
-  }
 
 let run_batch t jobs =
   let module SSet = Set.Make (String) in
@@ -369,9 +305,9 @@ let run_batch t jobs =
     prepared;
   enforce_cap_locked t;
   Mutex.unlock t.lock;
-  (* Phase 2: evaluate every missing (app, scheme, config) simulation.
-     Jobs are grouped by (app, scheme) so consecutive jobs in a chunk
-     share the per-context transformed-trace cache. *)
+  (* Phase 2: evaluate every missing simulation.  Jobs are ordered by
+     (app, scheme) so consecutive jobs share the context's
+     transformed-program slot. *)
   let have =
     Mutex.lock t.lock;
     let k =
@@ -380,27 +316,23 @@ let run_batch t jobs =
     Mutex.unlock t.lock;
     k
   in
-  let keyed =
+  let missing =
     List.filter_map
       (fun j ->
         match j.job_scheme with
         | None -> None
         | Some scheme ->
-          let key =
-            result_key j.job_profile scheme (config_fingerprint j.job_config)
-          in
-          if SSet.mem key have then None else Some (key, j, scheme))
+          let key = job_key j in
+          let order = (j.job_profile.name, Critics.Scheme.name scheme, key) in
+          if SSet.mem key have then None else Some (order, j, scheme))
       jobs
-  in
-  let dedup =
-    List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b) keyed
+    |> List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b)
   in
   let computed =
     Parallel.Pool.map_list ~chunk:1 (pool t)
-      (fun (key, j, scheme) ->
-        let ctx = context t j.job_profile in
-        (key, simulate t ~config:j.job_config ~key ctx scheme))
-      dedup
+      (fun ((_, _, key), j, scheme) ->
+        (key, simulate t ~key (context t j.job_profile) j scheme))
+      missing
   in
   Mutex.lock t.lock;
   List.iter

@@ -2,12 +2,12 @@
 
     Prepares each application once (program, path, trace, CritIC
     database) and memoizes simulation results keyed by
-    (app, scheme, machine-configuration fingerprint), so the figure
-    modules can freely share runs.  All experiments in this library draw
+    (app, scheme, variant, machine configuration) — {!job_key} — so the
+    figure modules can freely share runs.  All experiments in this library draw
     from one harness instance; [dune exec bench/main.exe] builds a
     single harness and regenerates every table and figure from it.
 
-    Independent (app × scheme × config) jobs can be evaluated across a
+    Independent simulation jobs can be evaluated across a
     pool of OCaml 5 domains: enqueue them with {!run_batch} and the
     memoized lookups ({!stats}, {!speedup}, {!context}) become cache
     hits.  Results are bit-identical to a sequential run — every job is
@@ -37,15 +37,15 @@ val create :
     merge deterministically ({!telemetry_registry}).  Simulation results
     are bit-identical with telemetry on or off.
 
-    [store] attaches a prepared-artifact cache ({!Store}): context
-    preparation, compiler transforms and completed simulations are
-    persisted, so a warm harness loads them instead of recomputing.
-    Telemetry-enabled simulations always run live (probes
-    observe the run itself).  [context_cap] bounds the number of
-    resident application contexts (clamped to ≥ 1); the least recently
-    used is evicted past the cap and transparently re-prepared — from
-    the store when one is attached — on the next request, keeping peak
-    heap flat across sweeps of many applications. *)
+    [store] attaches a prepared-artifact cache ({!Store}): prepared
+    contexts and completed simulations are persisted, so a warm harness
+    loads them instead of recomputing.  Telemetry-enabled simulations
+    always run live (probes observe the run itself).  [context_cap]
+    bounds the number of resident application contexts (clamped to
+    ≥ 1); the least recently used is evicted past the cap and
+    transparently re-prepared — from the store when one is attached —
+    on the next request, keeping peak heap flat across sweeps of many
+    applications. *)
 
 val instrs : t -> int
 
@@ -67,10 +67,7 @@ val context_evictions : t -> int
 val cache_registry : t -> Telemetry.Registry.t
 (** Cache-effectiveness counters as a telemetry registry: the attached
     store's [store/hit], [store/miss], [store/write], [store/corrupt]
-    and [store/bytes] series (when a store is attached), the trace-pack
-    record/replay counters summed over resident contexts
-    ([trace_pack/replays], [trace_pack/records], [trace_pack/corrupt],
-    [trace_pack/bytes] — see {!Critics.Run.pack_stats}), plus
+    and [store/bytes] series (when a store is attached), plus
     [harness/context_evict]. *)
 
 val pool : t -> Parallel.Pool.t
@@ -83,32 +80,31 @@ val context : t -> Workload.Profile.t -> Critics.Run.app_context
 
 val stats :
   t ->
-  ?config_name:string ->
   ?config:Pipeline.Config.t ->
+  ?variant:Critics.Run.variant ->
   Workload.Profile.t ->
   Critics.Scheme.t ->
   Pipeline.Stats.t
-(** Cached simulation (thread-safe).  The memo key is derived from the
-    *actual* [config] value (a digest of the configuration record), so
-    distinct configurations never collide and structurally equal ones
-    share one entry; [config_name] is accepted for backward
-    compatibility and used only as a human-readable label. *)
+(** Cached simulation (thread-safe) of the job {!job} describes, memo
+    key {!job_key}: distinct configurations or variants never collide
+    and structurally equal ones share one entry. *)
 
 val speedup :
   t ->
-  ?config_name:string ->
   ?config:Pipeline.Config.t ->
+  ?variant:Critics.Run.variant ->
   Workload.Profile.t ->
   Critics.Scheme.t ->
   float
-(** Speedup of (scheme, config) over (Baseline, default config) for the
-    same application and work. *)
+(** Speedup of (scheme, variant, config) over (Baseline, default config)
+    for the same application and work. *)
 
 (** {2 Telemetry} *)
 
 val probe_for :
   t ->
   ?config:Pipeline.Config.t ->
+  ?variant:Critics.Run.variant ->
   Workload.Profile.t ->
   Critics.Scheme.t ->
   Telemetry.Probe.t option
@@ -129,15 +125,25 @@ val telemetry_registry : t -> Telemetry.Registry.t
 
 type job
 (** One unit of work: prepare an application and, unless it is a
-    context-only job, simulate one (scheme, config) on it. *)
+    context-only job, simulate one (scheme, variant, config) on it. *)
 
 val job :
-  ?config:Pipeline.Config.t -> Workload.Profile.t -> Critics.Scheme.t -> job
-(** A simulation job ([config] defaults to Table I). *)
+  ?config:Pipeline.Config.t ->
+  ?variant:Critics.Run.variant ->
+  Workload.Profile.t ->
+  Critics.Scheme.t ->
+  job
+(** A simulation job ([config] defaults to Table I; no [variant]
+    simulates the scheme's own program). *)
 
 val context_job : Workload.Profile.t -> job
 (** Prepare the application context only (program, trace, CritIC
     database) — for experiments that consume contexts directly. *)
+
+val job_key : job -> string
+(** The job's key: a digest of its (app name, scheme, variant, config)
+    values.  It keys the in-memory memo and, joined with the context
+    fingerprint, the job's [stats] store entry. *)
 
 val run_batch : t -> job list -> unit
 (** Evaluate every not-yet-memoized job across the harness's domain

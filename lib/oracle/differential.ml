@@ -6,7 +6,7 @@
 
      Walk.path_for_instrs  ==  Interp's independent walk      (check_walk)
      Trace.expand          ==  Interp's commit-log entries    (check_trace)
-     Cpu.run retirement    ==  Trace minus CDP markers        (check_cpu_trace)
+     Cpu.run_stream retire ==  Trace minus CDP markers        (check_cpu_trace)
      transformed program   ==  original, per-block digests    (check_transform_pair)
 
    so a green [check_prepared] means the golden model, the trace
@@ -135,7 +135,10 @@ let check_cpu_trace ?(warm = true) ~config trace =
       incr pos
     end
   in
-  let stats = Pipeline.Cpu.run ~warm ~checks:true ~on_commit config trace in
+  let stats =
+    Pipeline.Cpu.run_stream ~warm ~checks:true ~on_commit config (fun () ->
+        Prog.Trace.Stream.of_trace trace)
+  in
   match !err with
   | Some msg -> Error ("cpu divergence: " ^ msg)
   | None ->

@@ -8,7 +8,7 @@
       independent walk;
     - {!check_trace}: {!Prog.Trace.expand} vs the golden model's commit
       log (pcs, uids, memory addresses, branch outcomes, work counts);
-    - {!check_cpu_trace}: {!Pipeline.Cpu.run} retirement stream (with
+    - {!check_cpu_trace}: {!Pipeline.Cpu.run_stream} retirement stream (with
       [~checks:true] invariants armed) vs the trace minus CDP markers,
       plus statistics accounting identities;
     - {!check_transform_pair}: per-block commit digests of a transformed

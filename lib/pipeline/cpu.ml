@@ -192,7 +192,7 @@ let run_stream ?(warm = true) ?(checks = false) ?fuel ?on_commit ?probe
 
   let invariant_fail fmt =
     Printf.ksprintf
-      (fun msg -> failwith ("Cpu.run invariant violated: " ^ msg))
+      (fun msg -> failwith ("Cpu.run_stream invariant violated: " ^ msg))
       fmt
   in
 
@@ -977,7 +977,7 @@ let run_stream ?(warm = true) ?(checks = false) ?fuel ?on_commit ?probe
         !now !pulled !committed_total
     end;
     if !now > (!pulled * 300) + 1_000_000 then
-      failwith "Cpu.run: deadlock (cycle guard exceeded)";
+      failwith "Cpu.run_stream: deadlock (cycle guard exceeded)";
     do_commit !now;
     do_completions !now;
     do_issue !now;
@@ -1060,8 +1060,3 @@ let run_stream ?(warm = true) ?(checks = false) ?fuel ?on_commit ?probe
     iopp_misses = Mem.Hierarchy.iopp_misses hier;
     iopp_predictable = Mem.Hierarchy.iopp_predictable hier;
   }
-
-let run ?warm ?checks ?fuel ?on_commit ?probe ?itemp (cfg : Config.t)
-    (trace : Prog.Trace.t) : Stats.t =
-  run_stream ?warm ?checks ?fuel ?on_commit ?probe ?itemp cfg (fun () ->
-      Prog.Trace.Stream.of_trace trace)

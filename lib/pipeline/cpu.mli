@@ -92,17 +92,3 @@ val run_stream :
     empty table) yield -1, "unknown".  Policies other than TRRIP
     ignore the hint, so passing a table under the default
     configuration changes nothing. *)
-
-val run :
-  ?warm:bool ->
-  ?checks:bool ->
-  ?fuel:int ->
-  ?on_commit:(commit -> unit) ->
-  ?probe:Telemetry.Probe.t ->
-  ?itemp:int array ->
-  Config.t ->
-  Prog.Trace.t ->
-  Stats.t
-(** {!run_stream} over a materialized trace — bit-identical statistics.
-    Kept as the convenient entry point for tests and callers that
-    already hold arrays. *)

@@ -1,10 +1,10 @@
 (** Versioned on-disk cache of prepared artifacts.
 
-    Prepared app contexts, transformed programs and simulation results
-    are deterministic functions of (app profile × configuration × code
-    version), so recomputing them on every invocation is pure waste —
-    the same "pay once, reuse across runs" opportunity the paper's
-    caching analysis identifies in app content loads.  This store makes
+    Prepared app contexts and simulation results are deterministic
+    functions of (app profile × configuration × code version), so
+    recomputing them on every invocation is pure waste — the same "pay
+    once, reuse across runs" opportunity the paper's caching analysis
+    identifies in app content loads.  This store makes
     the recomputation skippable: callers serialize an artifact to bytes
     once, keyed by a fingerprint of everything the bytes depend on, and
     later runs load the bytes back instead of recomputing.
@@ -81,35 +81,18 @@ val add : t -> key -> string -> unit
     wins).  I/O failures are swallowed: a read-only or full cache
     directory degrades to recompute-every-time, never to a crash. *)
 
-(** {2 Raw blobs}
-
-    Caller-verified standalone files for artifacts that must keep their
-    own on-disk format (e.g. mmap-replayed trace packs, which are
-    length-framed, versioned and digest-verified by
-    [Prog.Trace.Pack] itself).  The store owns naming, atomic
-    installation and [*.tmp] orphan sweeping; content verification is
-    the caller's. *)
-
-val find_blob : t -> key -> string option
-(** Path of the blob for [key] if one is installed (counted as a hit),
-    else [None] (a miss).  The caller verifies the content; if it is
-    corrupt, report it back via {!remove_blob} and recompute. *)
-
-val add_blob : t -> key -> (string -> unit) -> bool
-(** [add_blob t k produce] calls [produce tmp_path] to write the blob,
-    then atomically renames it into place (last writer wins).  Returns
-    [false] — removing any partial temp file — if production or
-    installation failed; like {!add}, failures never escape. *)
-
-val remove_blob : t -> key -> unit
-(** Quarantine a blob the caller found corrupt; counted under
-    [corrupt]. *)
+val memo : t option -> key -> (unit -> 'a) -> 'a
+(** [memo store k compute]: the value stored under [k], unmarshalled;
+    on a miss, a corrupt entry or a payload that fails to unmarshal,
+    [compute ()], which is then {!add}ed.  With [None], just
+    [compute ()].  Not type-checked across runs: a key's [kind] must
+    fix the payload's type. *)
 
 (** {2 Introspection} *)
 
 val quarantine_dir : t -> string
-(** [<dir>/corrupt/], where corrupt entries and blobs are moved so
-    injected- or crash-found corruption stays post-mortem-able.  Bounded
+(** [<dir>/corrupt/], where corrupt entries are moved so injected- or
+    crash-found corruption stays post-mortem-able.  Bounded
     by the open-time [quarantine_limit]: past it the oldest (mtime,
     then name) quarantined file is evicted.  Quarantined files are not
     cache entries — {!entry_count}, {!total_bytes} and {!clear} ignore

@@ -54,10 +54,6 @@ val write : ?durable:bool -> ?inject:injector -> string -> string -> unit
     [durable] (default [false]) adds the fsync discipline described
     above.  [inject] arms the fault seam (tests only). *)
 
-val fsync_dir : ?inject:injector -> string -> unit
-(** fsync a directory, making a completed rename inside it durable.
-    Silently ignores filesystems that refuse directory fsync. *)
-
 val read_file : string -> string
 (** Whole-file read (binary).  Raises [Sys_error] if unreadable. *)
 

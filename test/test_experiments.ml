@@ -120,14 +120,43 @@ let test_memo_key_uses_config () =
   let again = Experiments.Harness.stats h app Critics.Scheme.Baseline in
   Alcotest.(check int) "default entry untouched" default_stats.cycles
     again.cycles;
-  (* structurally-equal configs share one memo entry regardless of the
-     caller-supplied label: same physical record comes back *)
-  let renamed_stats =
-    Experiments.Harness.stats h ~config_name:"copy"
-      ~config:Pipeline.Config.table_i app Critics.Scheme.Baseline
+  (* a structurally equal copy of the config shares the memo entry:
+     the same physical record comes back *)
+  let copy_stats =
+    Experiments.Harness.stats h
+      ~config:{ Pipeline.Config.table_i with rob = Pipeline.Config.table_i.rob }
+      app Critics.Scheme.Baseline
   in
   Alcotest.(check bool) "equal configs share one memo entry" true
-    (renamed_stats == again)
+    (copy_stats == again)
+
+(* Fig. 12's sensitivity points are harness jobs like any other: with
+   telemetry on, rendering it memoizes exactly one probe per distinct
+   job — every (variant, app) point plus each app's baseline. *)
+let test_fig12_variant_jobs_memoized () =
+  let h = Experiments.Harness.create ~instrs:2_000 ~jobs:1 ~telemetry:256 () in
+  ignore (Experiments.Fig12.render (Experiments.Fig12.run h));
+  let mobile = List.assoc "Mobile" Experiments.Harness.suites in
+  let variants =
+    List.map (fun n -> Critics.Run.Exact_length n) [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+    @ List.map
+        (fun f -> Critics.Run.Fraction f)
+        [ 0.125; 0.25; 0.375; 0.5; 0.75; 1.0 ]
+  in
+  List.iter
+    (fun (app : Workload.Profile.t) ->
+      List.iter
+        (fun variant ->
+          Alcotest.(check bool)
+            (app.name ^ " variant probe memoized")
+            true
+            (Experiments.Harness.probe_for h ~variant app Critics.Scheme.Critic
+            <> None))
+        variants)
+    mobile;
+  Alcotest.(check int) "one probe per distinct job"
+    (List.length mobile * (List.length variants + 1))
+    (List.length (Experiments.Harness.telemetry_probes h))
 
 let test_policy_lab_default_cell_shares_memo () =
   (* The policy lab's (lru, next_line) machine is structurally equal to
@@ -284,6 +313,8 @@ let () =
             test_parallel_determinism;
           Alcotest.test_case "memo key uses config" `Quick
             test_memo_key_uses_config;
+          Alcotest.test_case "fig12 variant jobs memoized" `Quick
+            test_fig12_variant_jobs_memoized;
         ] );
       ( "policy lab",
         [

@@ -15,6 +15,10 @@ let trace_of_blocks ?(visits = 4) ?(seed = 1) blocks =
   let p = P.make ~entry:0 ~blocks in
   Prog.Trace.expand p ~seed (Prog.Walk.path_visits p ~seed ~visits)
 
+(* The simulator over a materialized trace. *)
+let run ?warm cfg t =
+  Pipeline.Cpu.run_stream ?warm cfg (fun () -> Prog.Trace.Stream.of_trace t)
+
 let alu_block ?(n = 16) ?(term = B.Jump 0) id =
   B.make ~id ~func:0
     ~body:(Array.init n (fun i -> mk ((id * 1000) + i) ~dst:(r (i mod 8)) Op.Alu))
@@ -22,20 +26,20 @@ let alu_block ?(n = 16) ?(term = B.Jump 0) id =
 
 let test_commits_everything () =
   let t = trace_of_blocks [ alu_block 0 ] in
-  let st = Pipeline.Cpu.run Cfg.table_i t in
+  let st = run Cfg.table_i t in
   Alcotest.(check int) "all events retire" (Array.length t) st.committed_total;
   Alcotest.(check int) "work matches trace" (Prog.Trace.work_count t)
     st.committed_work
 
 let test_deterministic () =
   let t = trace_of_blocks [ alu_block 0 ] in
-  let a = Pipeline.Cpu.run Cfg.table_i t in
-  let b = Pipeline.Cpu.run Cfg.table_i t in
+  let a = run Cfg.table_i t in
+  let b = run Cfg.table_i t in
   Alcotest.(check int) "same cycles" a.cycles b.cycles
 
 let test_ipc_bounded_by_width () =
   let t = trace_of_blocks ~visits:50 [ alu_block 0 ] in
-  let st = Pipeline.Cpu.run Cfg.table_i t in
+  let st = run Cfg.table_i t in
   Alcotest.(check bool) "IPC <= width" true
     (Pipeline.Stats.ipc st <= float_of_int Cfg.table_i.width)
 
@@ -51,8 +55,8 @@ let test_dependence_serializes () =
   in
   let t_serial = trace_of_blocks ~visits:8 [ serial ] in
   let t_parallel = trace_of_blocks ~visits:8 [ alu_block ~n:32 0 ] in
-  let s1 = Pipeline.Cpu.run Cfg.table_i t_serial in
-  let s2 = Pipeline.Cpu.run Cfg.table_i t_parallel in
+  let s1 = run Cfg.table_i t_serial in
+  let s2 = run Cfg.table_i t_parallel in
   Alcotest.(check bool) "serial slower" true (s1.cycles > s2.cycles)
 
 let test_long_latency_ops_cost () =
@@ -63,8 +67,8 @@ let test_long_latency_ops_cost () =
   in
   let t_div = trace_of_blocks ~visits:4 [ divs ] in
   let t_alu = trace_of_blocks ~visits:4 [ alu_block 0 ] in
-  let s_div = Pipeline.Cpu.run Cfg.table_i t_div in
-  let s_alu = Pipeline.Cpu.run Cfg.table_i t_alu in
+  let s_div = run Cfg.table_i t_div in
+  let s_alu = run Cfg.table_i t_alu in
   Alcotest.(check bool) "div-heavy slower" true (s_div.cycles > s_alu.cycles)
 
 let test_thumb_reduces_fetch_pressure () =
@@ -80,8 +84,8 @@ let test_thumb_reduces_fetch_pressure () =
       ~term:(B.Jump 0)
   in
   let thumb = trace_of_blocks ~visits:40 [ thumb_block ] in
-  let s_arm = Pipeline.Cpu.run narrow arm in
-  let s_thumb = Pipeline.Cpu.run narrow thumb in
+  let s_arm = run narrow arm in
+  let s_thumb = run narrow thumb in
   Alcotest.(check bool) "thumb faster under fetch pressure" true
     (s_thumb.cycles < s_arm.cycles);
   let thumb_events =
@@ -104,7 +108,7 @@ let test_cdp_markers_retire_at_decode () =
   let t =
     trace_of_blocks ~visits:5 [ B.make ~id:0 ~func:0 ~body ~term:(B.Jump 0) ]
   in
-  let st = Pipeline.Cpu.run Cfg.table_i t in
+  let st = run Cfg.table_i t in
   Alcotest.(check int) "cdp markers counted" 5 st.cdp_markers;
   Alcotest.(check int) "everything retires" (Array.length t) st.committed_total;
   (* CDP markers are not work *)
@@ -123,8 +127,8 @@ let test_mispredicts_cost_cycles () =
   (* bias 0.5 is unpredictable; bias 0.99 is easy *)
   let t_hard = trace_of_blocks ~visits:400 ~seed:7 (blocks 0.5) in
   let t_easy = trace_of_blocks ~visits:400 ~seed:7 (blocks 0.99) in
-  let hard = Pipeline.Cpu.run Cfg.table_i t_hard in
-  let easy = Pipeline.Cpu.run Cfg.table_i t_easy in
+  let hard = run Cfg.table_i t_hard in
+  let easy = run Cfg.table_i t_easy in
   let cpi (s : Pipeline.Stats.t) =
     float_of_int s.cycles /. float_of_int s.committed_work
   in
@@ -134,8 +138,8 @@ let test_mispredicts_cost_cycles () =
 
 let test_perfect_branch_never_slower () =
   let t = trace_of_blocks ~visits:100 [ alu_block 0 ] in
-  let base = Pipeline.Cpu.run Cfg.table_i t in
-  let perfect = Pipeline.Cpu.run (Cfg.with_perfect_branch Cfg.table_i) t in
+  let base = run Cfg.table_i t in
+  let perfect = run (Cfg.with_perfect_branch Cfg.table_i) t in
   Alcotest.(check bool) "perfect bp never slower" true
     (perfect.cycles <= base.cycles)
 
@@ -149,8 +153,8 @@ let test_warm_faster_than_cold () =
   let t =
     trace_of_blocks ~visits:16 [ B.make ~id:0 ~func:0 ~body ~term:(B.Jump 0) ]
   in
-  let warm = Pipeline.Cpu.run ~warm:true Cfg.table_i t in
-  let cold = Pipeline.Cpu.run ~warm:false Cfg.table_i t in
+  let warm = run ~warm:true Cfg.table_i t in
+  let cold = run ~warm:false Cfg.table_i t in
   Alcotest.(check bool) "warm run not slower" true (warm.cycles <= cold.cycles)
 
 let test_wrong_path_fetch_pollutes () =
@@ -163,9 +167,9 @@ let test_wrong_path_fetch_pollutes () =
     ]
   in
   let t = trace_of_blocks ~visits:400 ~seed:7 blocks in
-  let base = Pipeline.Cpu.run Cfg.table_i t in
+  let base = run Cfg.table_i t in
   let wp =
-    Pipeline.Cpu.run { Cfg.table_i with Cfg.wrong_path_fetch = true } t
+    run { Cfg.table_i with Cfg.wrong_path_fetch = true } t
   in
   Alcotest.(check bool) "wrong path adds i-cache traffic" true
     (wp.l1i.accesses > base.l1i.accesses);
@@ -173,7 +177,7 @@ let test_wrong_path_fetch_pollutes () =
 
 let test_stage_accounting_consistent () =
   let t = trace_of_blocks ~visits:20 [ alu_block 0 ] in
-  let st = Pipeline.Cpu.run Cfg.table_i t in
+  let st = run Cfg.table_i t in
   let s = st.stage_all in
   Alcotest.(check int) "population = committed total minus markers"
     st.committed_total s.count;

@@ -78,17 +78,151 @@ let test_context_key_sensitivity () =
       Alcotest.(check bool) (what ^ " invalidates") true (d <> base))
     changed
 
-let test_config_bytes_invalidate () =
-  (* the harness keys simulation results on a digest of the marshalled
-     Config.t: any field change must produce a different store key *)
-  let fp (c : Pipeline.Config.t) = Digest.string (Marshal.to_string c []) in
-  let base = Pipeline.Config.table_i in
-  let tweaked = { base with rob = base.rob + 1 } in
-  let d c = Store.key_digest (Store.key ~kind:"stats" [ "ctx"; "IC+"; fp c ]) in
-  Alcotest.(check bool)
-    "Config.t field change invalidates" true
-    (d base <> d tweaked);
-  Alcotest.(check string) "equal configs agree" (d base) (d { base with rob = base.rob })
+(* The harness's job key, over a random machine configuration reached
+   from Table I by a few field edits.  Every edit changes exactly one
+   field (nested memory and DRAM fields included) to a different value;
+   the property is that one edit always changes the key, while a
+   structurally equal copy with different physical sharing never does. *)
+
+let job_key ?config ?variant scheme =
+  Experiments.Harness.job_key
+    (Experiments.Harness.job ?config ?variant (app "Acrobat") scheme)
+
+let next xs x =
+  let rec go = function
+    | y :: (z :: _ as rest) -> if y = x then z else go rest
+    | _ -> List.hd xs
+  in
+  go xs
+
+let config_edits : (int -> Pipeline.Config.t -> Pipeline.Config.t) array =
+  let mem f d (c : Pipeline.Config.t) = { c with mem = f d c.mem } in
+  let dram f =
+    mem (fun d (m : Mem.Hierarchy.config) -> { m with dram = f d m.dram })
+  in
+  [|
+    (fun d c -> { c with width = c.width + d });
+    (fun d c -> { c with fetch_bytes = c.fetch_bytes + d });
+    (fun d c -> { c with fetch_queue = c.fetch_queue + d });
+    (fun d c -> { c with decode_queue = c.decode_queue + d });
+    (fun d c -> { c with rob = c.rob + d });
+    (fun d c -> { c with iq = c.iq + d });
+    (fun d c -> { c with int_alus = c.int_alus + d });
+    (fun d c -> { c with mul_units = c.mul_units + d });
+    (fun d c -> { c with mem_ports = c.mem_ports + d });
+    (fun d c -> { c with fp_units = c.fp_units + d });
+    (fun d c -> { c with branch_units = c.branch_units + d });
+    (fun d c -> { c with mispredict_penalty = c.mispredict_penalty + d });
+    (fun d c -> { c with cdp_decode_penalty = c.cdp_decode_penalty + d });
+    (fun _ c ->
+      {
+        c with
+        bpu =
+          next
+            [ Bpu.Predictor.default_kind; Bpu.Predictor.Static_taken;
+              Bpu.Predictor.Perfect ]
+            c.bpu;
+      });
+    (fun d c ->
+      match c.bpu with
+      | Bpu.Predictor.Two_level { entries; history_bits } ->
+        {
+          c with
+          bpu =
+            Bpu.Predictor.Two_level
+              { entries; history_bits = history_bits + d };
+        }
+      | _ -> { c with bpu = Bpu.Predictor.default_kind });
+    (fun _ c ->
+      {
+        c with
+        issue_policy =
+          next [ Pipeline.Config.Oldest_first; Pipeline.Config.Critical_first ]
+            c.issue_policy;
+      });
+    (fun _ c ->
+      { c with critical_load_prefetch = not c.critical_load_prefetch });
+    (fun _ c -> { c with efetch = not c.efetch });
+    (fun _ c -> { c with wrong_path_fetch = not c.wrong_path_fetch });
+    (fun _ c -> { c with byte_fetch = not c.byte_fetch });
+    (fun d c ->
+      { c with fanout_critical_threshold = c.fanout_critical_threshold + d });
+    mem (fun d m -> { m with line_bytes = m.line_bytes + d });
+    mem (fun d m -> { m with l1i_size = m.l1i_size + d });
+    mem (fun d m -> { m with l1i_assoc = m.l1i_assoc + d });
+    mem (fun d m -> { m with l1i_hit = m.l1i_hit + d });
+    mem (fun d m -> { m with l1d_size = m.l1d_size + d });
+    mem (fun d m -> { m with l1d_assoc = m.l1d_assoc + d });
+    mem (fun d m -> { m with l1d_hit = m.l1d_hit + d });
+    mem (fun d m -> { m with l2_size = m.l2_size + d });
+    mem (fun d m -> { m with l2_assoc = m.l2_assoc + d });
+    mem (fun d m -> { m with l2_hit = m.l2_hit + d });
+    mem (fun _ m -> { m with l2_prefetcher = not m.l2_prefetcher });
+    mem (fun _ m ->
+        { m with l1i_policy = next Mem.Replacement.all_kinds m.l1i_policy });
+    mem (fun _ m ->
+        {
+          m with
+          l1i_prefetch =
+            next
+              [ Mem.Hierarchy.Ip_none; Mem.Hierarchy.Ip_next_line;
+                Mem.Hierarchy.Ip_fetch_directed ]
+              m.l1i_prefetch;
+        });
+    mem (fun _ m -> { m with l1i_opportunity = not m.l1i_opportunity });
+    dram (fun d r -> { r with channels = r.channels + d });
+    dram (fun d r -> { r with ranks_per_channel = r.ranks_per_channel + d });
+    dram (fun d r -> { r with banks_per_rank = r.banks_per_rank + d });
+    dram (fun d r -> { r with row_bytes = r.row_bytes + d });
+    dram (fun d r -> { r with tcl_cycles = r.tcl_cycles + d });
+    dram (fun d r -> { r with trp_cycles = r.trp_cycles + d });
+    dram (fun d r -> { r with trcd_cycles = r.trcd_cycles + d });
+    dram (fun d r -> { r with burst_cycles = r.burst_cycles + d });
+  |]
+
+(* A structurally equal value whose shared sub-values are duplicated. *)
+let unshared v =
+  Marshal.from_string (Marshal.to_string v [ Marshal.No_sharing ]) 0
+
+let edit =
+  QCheck.(pair (int_bound (Array.length config_edits - 1)) (int_range 1 64))
+
+let apply_edit c (i, d) = config_edits.(i) d c
+
+let prop_config_bytes_invalidate =
+  QCheck.Test.make ~name:"config bytes invalidate" ~count:300
+    QCheck.(pair (list_of_size Gen.(int_range 0 4) edit) edit)
+    (fun (edits, e) ->
+      let c = List.fold_left apply_edit Pipeline.Config.table_i edits in
+      let key config = job_key ~config Critics.Scheme.Critic in
+      key c <> key (apply_edit c e) && key c = key (unshared c))
+
+let variant_gen =
+  QCheck.make
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> Critics.Run.Exact_length n) (int_range 2 9);
+          map (fun f -> Critics.Run.Fraction f) (float_range 0.01 1.0);
+          map (fun t -> Critics.Run.Threshold t) (float_range 1.0 10.0);
+          map (fun m -> Critics.Run.Metric m) (oneofl Profiler.Metric.all);
+        ])
+
+let prop_variant_invalidates =
+  QCheck.Test.make ~name:"variant invalidates" ~count:200 variant_gen
+    (fun v ->
+      let edited =
+        match v with
+        | Critics.Run.Exact_length n -> Critics.Run.Exact_length (n + 1)
+        | Critics.Run.Fraction f -> Critics.Run.Fraction (f /. 2.0)
+        | Critics.Run.Threshold t -> Critics.Run.Threshold (t +. 1.0)
+        | Critics.Run.Metric m ->
+          Critics.Run.Metric (next Profiler.Metric.all m)
+      in
+      let key variant = job_key ~variant Critics.Scheme.Critic in
+      key v <> key edited
+      && key v <> job_key Critics.Scheme.Critic
+      && key v = key (unshared v))
 
 (* ------------------------------------------------------------------ *)
 (* Entries                                                            *)
@@ -314,19 +448,6 @@ let test_prepare_warm_identical () =
       Alcotest.(check string)
         "store-served context bit-identical" (ctx_digest cold) (ctx_digest warm))
 
-let test_transform_served_from_store () =
-  with_store (fun _dir st ->
-      let cold = Critics.Run.prepare ~store:st ~instrs:small_instrs (app "Email") in
-      let p_cold = Critics.Run.transformed cold Critics.Scheme.Critic in
-      Alcotest.(check int) "cold ran the compiler" 1 (Critics.Run.transform_count cold);
-      let warm = Critics.Run.prepare ~store:st ~instrs:small_instrs (app "Email") in
-      let p_warm = Critics.Run.transformed warm Critics.Scheme.Critic in
-      Alcotest.(check int)
-        "warm skipped the compiler" 0 (Critics.Run.transform_count warm);
-      Alcotest.(check string) "identical transformed program"
-        (Digest.string (Marshal.to_string p_cold []))
-        (Digest.string (Marshal.to_string p_warm [])))
-
 let test_harness_warm_stats () =
   with_store (fun _dir st ->
       let stats h =
@@ -344,6 +465,36 @@ let test_harness_warm_stats () =
       Alcotest.(check string) "bit-identical stats"
         (Digest.string (Marshal.to_string s1 []))
         (Digest.string (Marshal.to_string s2 [])))
+
+(* Fig. 12 and the ablations run through the harness memo and the
+   store like every other artifact: their renders are byte-identical
+   hermetic, over a cold store and over the warm store, and the warm
+   pass is served entirely from the store. *)
+let test_sensitivity_renders_across_stores () =
+  let apps = [ app "Acrobat" ] in
+  let render h =
+    Experiments.Fig12.render (Experiments.Fig12.run h)
+    ^ Experiments.Ablations.render (Experiments.Ablations.run ~apps h)
+  in
+  let harness ?store () =
+    Experiments.Harness.create ~instrs:small_instrs ~jobs:1 ?store ()
+  in
+  let hermetic = render (harness ()) in
+  with_store (fun _dir st ->
+      let cold = render (harness ~store:st ()) in
+      let s0 = Store.stats st in
+      let warm = render (harness ~store:st ()) in
+      let s1 = Store.stats st in
+      Alcotest.(check string) "cold store = hermetic" hermetic cold;
+      Alcotest.(check string) "warm store = hermetic" hermetic warm;
+      Alcotest.(check int) "warm pass misses nothing" s0.misses s1.misses;
+      Alcotest.(check int) "warm pass writes nothing" s0.writes s1.writes;
+      (* 14 Fig. 12 points per mobile app, 9 re-profiled ablation points *)
+      let variant_jobs =
+        (14 * List.length (List.assoc "Mobile" Experiments.Harness.suites)) + 9
+      in
+      Alcotest.(check bool) "warm pass served every variant job" true
+        (s1.hits - s0.hits >= variant_jobs))
 
 let test_lru_context_cap () =
   let apps = [ "Acrobat"; "Email"; "Youtube"; "Angrybirds" ] in
@@ -418,9 +569,9 @@ let () =
             test_key_kind_and_code_version;
           Alcotest.test_case "context key sensitivity" `Quick
             test_context_key_sensitivity;
-          Alcotest.test_case "config bytes invalidate" `Quick
-            test_config_bytes_invalidate;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_config_bytes_invalidate; prop_variant_invalidates ] );
       ( "entries",
         [
           Alcotest.test_case "byte-identical roundtrip" `Quick
@@ -448,9 +599,9 @@ let () =
         [
           Alcotest.test_case "prepare warm identical" `Quick
             test_prepare_warm_identical;
-          Alcotest.test_case "transform served from store" `Quick
-            test_transform_served_from_store;
           Alcotest.test_case "harness warm stats" `Quick test_harness_warm_stats;
+          Alcotest.test_case "sensitivity renders across stores" `Quick
+            test_sensitivity_renders_across_stores;
           Alcotest.test_case "lru context cap" `Quick test_lru_context_cap;
         ] );
       ( "alloc",
