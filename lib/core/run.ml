@@ -1,20 +1,3 @@
-type scheme_cache = {
-  cache_lock : Mutex.t;
-  (* The last transformed program.  Transformed programs of code-heavy
-     apps run to several MB, so retaining every scheme a sweep visits
-     would dominate the heap; one slot covers the hot access pattern
-     (one scheme re-simulated across machine configs, interleaved with
-     baseline — which lives outside the cache) at the price of
-     re-running a cheap compiler pass when a context alternates between
-     transformed schemes. *)
-  mutable last : (Scheme.t * Prog.Program.t) option;
-  mutable transforms : int;
-  (* Per-scheme block-temperature tables for the TRRIP i-cache policy:
-     a few bytes per block, so not bounded.  Derived state, never
-     marshalled with the context payload. *)
-  mutable heats : (Scheme.t * int array) list;
-}
-
 type app_context = {
   profile : Workload.Profile.t;
   program : Prog.Program.t;
@@ -22,7 +5,8 @@ type app_context = {
   path : Prog.Walk.path;
   event_count : int;
   db : Profiler.Critic_db.t;
-  scheme_cache : scheme_cache;
+  programs : (Scheme.t, Prog.Program.t) Util.Memo.t;
+  heats : (Scheme.t, int array) Util.Memo.t;
   ckey : string;
 }
 
@@ -51,7 +35,7 @@ let context_key ?(instrs = default_instrs) ?(sample = 0)
     ]
 
 (* The tuple a context entry marshals: everything [prepare] derives.
-   The scheme cache is rebuilt fresh (it holds a mutex). *)
+   The memos are rebuilt fresh (they hold a mutex). *)
 type context_payload =
   Prog.Program.t * int * Prog.Walk.path * int * Profiler.Critic_db.t
 
@@ -82,8 +66,15 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
     path;
     event_count;
     db;
-    scheme_cache =
-      { cache_lock = Mutex.create (); last = None; transforms = 0; heats = [] };
+    (* Transformed programs of code-heavy apps run to several MB, so
+       retaining every scheme a sweep visits would dominate the heap; one
+       slot covers the hot access pattern (one scheme re-simulated across
+       machine configs, interleaved with the baseline, which bypasses the
+       memo) at the price of re-running a cheap compiler pass when a
+       context alternates between transformed schemes.  Block-temperature
+       tables are a few bytes per block, so they are not bounded. *)
+    programs = Util.Memo.create ~capacity:1 ();
+    heats = Util.Memo.create ();
     ckey = Store.key_digest key;
   }
 
@@ -124,36 +115,11 @@ let rec transformed ctx (scheme : Scheme.t) =
              Transform.Pipeline.reordered ctx.program)
       | _ -> assert false)
   in
-  let cached c =
-    match c.last with Some (s, p) when s = scheme -> Some p | _ -> None
-  in
   match scheme with
   | Scheme.Baseline -> ctx.program
-  | _ -> (
-    (* The mutex makes contexts shareable across the parallel harness's
-       domains; passes are deterministic, so a lost race recomputes an
-       identical program and the first write wins. *)
-    let c = ctx.scheme_cache in
-    Mutex.lock c.cache_lock;
-    let hit = cached c in
-    Mutex.unlock c.cache_lock;
-    match hit with
-    | Some p -> p
-    | None ->
-      let p = compute () in
-      Mutex.lock c.cache_lock;
-      let p =
-        match cached c with
-        | Some winner -> winner
-        | None ->
-          c.transforms <- c.transforms + 1;
-          c.last <- Some (scheme, p);
-          p
-      in
-      Mutex.unlock c.cache_lock;
-      p)
+  | _ -> Util.Memo.find_or_add ctx.programs scheme compute
 
-let transform_count ctx = ctx.scheme_cache.transforms
+let transform_count ctx = Util.Memo.inserts ctx.programs
 
 let stream ctx scheme =
   Prog.Trace.Stream.of_program (transformed ctx scheme) ~seed:ctx.seed
@@ -169,29 +135,9 @@ let temperatures program source =
     (Profiler.Heat.profile ~num_blocks:(Prog.Program.num_blocks program)
        (source ()))
 
-(* Block temperatures of a scheme's dynamic stream (Profiler.Heat),
-   memoized per scheme: the profile is deterministic, so — as with
-   transformed programs — a lost race between domains recomputes an
-   identical table and the first write wins. *)
 let heat ctx scheme =
-  let c = ctx.scheme_cache in
-  Mutex.lock c.cache_lock;
-  let hit = List.assoc_opt scheme c.heats in
-  Mutex.unlock c.cache_lock;
-  match hit with
-  | Some t -> t
-  | None ->
-    let t = temperatures (transformed ctx scheme) (source ctx scheme) in
-    Mutex.lock c.cache_lock;
-    let t =
-      match List.assoc_opt scheme c.heats with
-      | Some winner -> winner
-      | None ->
-        c.heats <- (scheme, t) :: c.heats;
-        t
-    in
-    Mutex.unlock c.cache_lock;
-    t
+  Util.Memo.find_or_add ctx.heats scheme (fun () ->
+      temperatures (transformed ctx scheme) (source ctx scheme))
 
 type variant =
   | Exact_length of int
@@ -200,7 +146,7 @@ type variant =
   | Metric of Profiler.Metric.t
 
 (* Variant programs are single-use (each sensitivity point simulates
-   once), so they bypass the scheme cache. *)
+   once), so they bypass the program memo. *)
 let variant_program ctx scheme variant =
   let options =
     match critic_options scheme with

@@ -9,13 +9,6 @@
     context's footprint following it.  {!stats} evaluates any scheme on
     any machine configuration. *)
 
-type scheme_cache
-(** A single slot holding the last transformed program, sized for the
-    hot access pattern — one scheme re-simulated across machine
-    configurations, interleaved with the (uncached) baseline;
-    mutex-protected so contexts can be shared across domains by the
-    parallel experiment harness. *)
-
 type app_context = {
   profile : Workload.Profile.t;
   program : Prog.Program.t;
@@ -23,7 +16,13 @@ type app_context = {
   path : Prog.Walk.path;
   event_count : int;      (** events the baseline stream yields *)
   db : Profiler.Critic_db.t;
-  scheme_cache : scheme_cache;
+  programs : (Scheme.t, Prog.Program.t) Util.Memo.t;
+      (** transformed programs ({!transformed}): a one-slot memo, sized
+          for the hot access pattern — one scheme re-simulated across
+          machine configurations, interleaved with the baseline, which
+          bypasses it *)
+  heats : (Scheme.t, int array) Util.Memo.t;
+      (** block temperatures per scheme ({!heat}), unbounded *)
   ckey : string;
       (** content fingerprint of everything this context was prepared
           from (app profile bytes, preparation parameters, code
@@ -67,14 +66,16 @@ val context_key :
     and tools can probe or invalidate specific entries. *)
 
 val transformed : app_context -> Scheme.t -> Prog.Program.t
-(** The program a scheme's compiler pipeline produces.  Memoized per
-    context: repeated requests for the same scheme — e.g. under several
-    machine configurations, or from concurrent harness jobs — run the
-    compiler pipeline once (see {!transform_count}). *)
+(** The program a scheme's compiler pipeline produces, memoized in the
+    context's one-slot [programs] memo: consecutive requests for the
+    same scheme — e.g. under several machine configurations, or from
+    concurrent harness jobs — run the compiler pipeline once (see
+    {!transform_count}). *)
 
 val transform_count : app_context -> int
-(** Number of compiler-pipeline executions this context has performed —
-    the cache-effectiveness observable used by the regression tests. *)
+(** Compiler-pipeline results this context has kept (the [programs]
+    memo's insert count) — the cache-effectiveness observable used by
+    the regression tests. *)
 
 val stream : app_context -> Scheme.t -> Prog.Trace.Stream.cursor
 (** A fresh cursor over the scheme's event stream — the scheme's

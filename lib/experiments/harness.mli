@@ -1,19 +1,23 @@
 (** Shared experiment harness: a parallel batch engine.
 
-    Prepares each application once (program, path, trace, CritIC
-    database) and memoizes simulation results keyed by
-    (app, scheme, variant, machine configuration) — {!job_key} — so the
-    figure modules can freely share runs.  All experiments in this library draw
-    from one harness instance; [dune exec bench/main.exe] builds a
-    single harness and regenerates every table and figure from it.
+    Prepares each application once (program, path, CritIC database) and
+    memoizes simulation results keyed by (app profile, scheme, variant,
+    machine configuration) — {!job_key} — so the figure modules can
+    freely share runs.  Both memos ({!Util.Memo}) are content-addressed:
+    contexts by the fingerprint of everything they are prepared from
+    ({!Critics.Run.context_key}), results by the digest of the job's
+    values, so an edited profile never hits another's entry.  All
+    experiments in this library draw from one harness instance;
+    [dune exec bench/main.exe] builds a single harness and regenerates
+    every table and figure from it.
 
     Independent simulation jobs can be evaluated across a
     pool of OCaml 5 domains: enqueue them with {!run_batch} and the
     memoized lookups ({!stats}, {!speedup}, {!context}) become cache
     hits.  Results are bit-identical to a sequential run — every job is
     deterministic (per-context seeded RNG, no shared mutable simulation
-    state) and the memo tables are mutex-protected — which the test
-    suite asserts. *)
+    state) and the memos are thread-safe — which the test suite
+    asserts. *)
 
 type t
 
@@ -22,7 +26,6 @@ val create :
   ?jobs:int ->
   ?telemetry:int ->
   ?store:Store.t ->
-  ?context_cap:int ->
   unit ->
   t
 (** [instrs] is the work-instruction budget per application run
@@ -40,12 +43,7 @@ val create :
     [store] attaches a prepared-artifact cache ({!Store}): prepared
     contexts and completed simulations are persisted, so a warm harness
     loads them instead of recomputing.  Telemetry-enabled simulations
-    always run live (probes observe the run itself).  [context_cap]
-    bounds the number of resident application contexts (clamped to
-    ≥ 1); the least recently used is evicted past the cap and
-    transparently re-prepared — from the store when one is attached —
-    on the next request, keeping peak heap flat across sweeps of many
-    applications. *)
+    always run live (probes observe the run itself). *)
 
 val instrs : t -> int
 
@@ -62,13 +60,13 @@ val resident_contexts : t -> int
 (** Application contexts currently held in memory. *)
 
 val context_evictions : t -> int
-(** Contexts evicted so far by the [context_cap] LRU bound. *)
+(** Contexts evicted from memory so far: always 0, since the context
+    memo is unbounded. *)
 
 val cache_registry : t -> Telemetry.Registry.t
 (** Cache-effectiveness counters as a telemetry registry: the attached
     store's [store/hit], [store/miss], [store/write], [store/corrupt]
-    and [store/bytes] series (when a store is attached), plus
-    [harness/context_evict]. *)
+    and [store/bytes] series (when a store is attached). *)
 
 val pool : t -> Parallel.Pool.t
 (** The harness's domain pool, for experiment modules that parallelize
@@ -76,7 +74,9 @@ val pool : t -> Parallel.Pool.t
     call pool operations from inside tasks already running on it. *)
 
 val context : t -> Workload.Profile.t -> Critics.Run.app_context
-(** Cached per-application context (thread-safe). *)
+(** The application's context, memoized under its content fingerprint:
+    the store key of the profile bytes and this harness's budget
+    (thread-safe). *)
 
 val stats :
   t ->
@@ -108,9 +108,9 @@ val probe_for :
   Workload.Profile.t ->
   Critics.Scheme.t ->
   Telemetry.Probe.t option
-(** The probe memoized for (app, scheme, config), if the harness has
-    telemetry enabled and that simulation has run.  Like the stats memo,
-    the first completed run wins; failed runs store nothing. *)
+(** The probe memoized with the stats of (app, scheme, variant, config),
+    if the harness has telemetry enabled and that simulation has run.
+    The first completed run wins; failed runs store nothing. *)
 
 val telemetry_probes : t -> (string * Telemetry.Probe.t) list
 (** Every memoized probe with its memo key, sorted by key — a
@@ -141,16 +141,15 @@ val context_job : Workload.Profile.t -> job
     database) — for experiments that consume contexts directly. *)
 
 val job_key : job -> string
-(** The job's key: a digest of its (app name, scheme, variant, config)
-    values.  It keys the in-memory memo and, joined with the context
-    fingerprint, the job's [stats] store entry. *)
+(** The job's key: a digest of its (app profile, scheme, variant,
+    config) values.  It keys the in-memory results memo and, joined
+    with the context fingerprint, the job's [stats] store entry. *)
 
 val run_batch : t -> job list -> unit
-(** Evaluate every not-yet-memoized job across the harness's domain
-    pool and store the results: first all missing application contexts
-    in parallel, then all missing simulations in parallel.  Duplicate
-    and already-cached jobs are skipped.  Subsequent {!stats} /
-    {!context} calls are cache hits. *)
+(** Evaluate every job across the harness's domain pool through the
+    memos: first every distinct application context in parallel, then
+    every distinct simulation in parallel.  Already-memoized jobs are
+    hits.  Subsequent {!stats} / {!context} calls are cache hits. *)
 
 val telemetry_registry_for : t -> job list -> Telemetry.Registry.t
 (** The probe registries of the given jobs' memo keys merged (duplicate

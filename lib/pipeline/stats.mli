@@ -54,9 +54,7 @@ type t = {
   efetch_predictions : int;
   efetch_correct : int;
   fetch_bytes : int;
-      (** instruction bytes delivered by fetch groups (counted whether or
-          not {!Config.t.byte_fetch} is on; under byte-accurate fetch the
-          group boundaries depend on these widths) *)
+      (** instruction bytes delivered by fetch groups *)
   fetch_groups : int;
       (** fetch groups formed (cycles in which fetch delivered ≥ 1
           instruction) *)

@@ -1,6 +1,6 @@
 (* Prepared-context store: key invalidation, corruption fallback,
-   crash-orphan sweep, every-IO crash points, LRU resident-context
-   bound, warm-harness reuse, and the allocation-free simulator-core
+   crash-orphan sweep, every-IO crash points, content-addressed harness
+   memos, warm-harness reuse, and the allocation-free simulator-core
    contract the store's perf work rests on. *)
 
 let fresh_dir () =
@@ -78,15 +78,16 @@ let test_context_key_sensitivity () =
       Alcotest.(check bool) (what ^ " invalidates") true (d <> base))
     changed
 
-(* The harness's job key, over a random machine configuration reached
-   from Table I by a few field edits.  Every edit changes exactly one
-   field (nested memory and DRAM fields included) to a different value;
-   the property is that one edit always changes the key, while a
+(* The harness's job key, over a random (profile, machine configuration)
+   pair reached from (Acrobat, Table I) by a few field edits.  Every edit
+   changes exactly one field (nested memory and DRAM fields, the
+   profile's name, seed, a float and a range included) to a different
+   value; the property is that one edit always changes the key, while a
    structurally equal copy with different physical sharing never does. *)
 
-let job_key ?config ?variant scheme =
+let job_key ?(profile = app "Acrobat") ?config ?variant scheme =
   Experiments.Harness.job_key
-    (Experiments.Harness.job ?config ?variant (app "Acrobat") scheme)
+    (Experiments.Harness.job ?config ?variant profile scheme)
 
 let next xs x =
   let rec go = function
@@ -144,7 +145,6 @@ let config_edits : (int -> Pipeline.Config.t -> Pipeline.Config.t) array =
       { c with critical_load_prefetch = not c.critical_load_prefetch });
     (fun _ c -> { c with efetch = not c.efetch });
     (fun _ c -> { c with wrong_path_fetch = not c.wrong_path_fetch });
-    (fun _ c -> { c with byte_fetch = not c.byte_fetch });
     (fun d c ->
       { c with fanout_critical_threshold = c.fanout_critical_threshold + d });
     mem (fun d m -> { m with line_bytes = m.line_bytes + d });
@@ -180,22 +180,40 @@ let config_edits : (int -> Pipeline.Config.t -> Pipeline.Config.t) array =
     dram (fun d r -> { r with burst_cycles = r.burst_cycles + d });
   |]
 
+let profile_edits : (int -> Workload.Profile.t -> Workload.Profile.t) array =
+  [|
+    (fun d p -> { p with name = p.name ^ string_of_int d });
+    (fun d p -> { p with seed = p.seed + d });
+    (fun d p -> { p with call_prob = p.call_prob +. float_of_int d });
+    (fun d p ->
+      { p with body_instrs = (fst p.body_instrs, snd p.body_instrs + d) });
+  |]
+
+let job_edits =
+  Array.append
+    (Array.map (fun f d (p, c) -> (p, f d c)) config_edits)
+    (Array.map (fun f d (p, c) -> (f d p, c)) profile_edits)
+
 (* A structurally equal value whose shared sub-values are duplicated. *)
 let unshared v =
   Marshal.from_string (Marshal.to_string v [ Marshal.No_sharing ]) 0
 
 let edit =
-  QCheck.(pair (int_bound (Array.length config_edits - 1)) (int_range 1 64))
+  QCheck.(pair (int_bound (Array.length job_edits - 1)) (int_range 1 64))
 
-let apply_edit c (i, d) = config_edits.(i) d c
+let apply_edit pc (i, d) = job_edits.(i) d pc
 
 let prop_config_bytes_invalidate =
   QCheck.Test.make ~name:"config bytes invalidate" ~count:300
     QCheck.(pair (list_of_size Gen.(int_range 0 4) edit) edit)
     (fun (edits, e) ->
-      let c = List.fold_left apply_edit Pipeline.Config.table_i edits in
-      let key config = job_key ~config Critics.Scheme.Critic in
-      key c <> key (apply_edit c e) && key c = key (unshared c))
+      let pc =
+        List.fold_left apply_edit (app "Acrobat", Pipeline.Config.table_i) edits
+      in
+      let key (profile, config) =
+        job_key ~profile ~config Critics.Scheme.Critic
+      in
+      key pc <> key (apply_edit pc e) && key pc = key (unshared pc))
 
 let variant_gen =
   QCheck.make
@@ -496,32 +514,30 @@ let test_sensitivity_renders_across_stores () =
       Alcotest.(check bool) "warm pass served every variant job" true
         (s1.hits - s0.hits >= variant_jobs))
 
-let test_lru_context_cap () =
-  let apps = [ "Acrobat"; "Email"; "Youtube"; "Angrybirds" ] in
-  with_store (fun _dir st ->
-      let h =
-        Experiments.Harness.create ~instrs:small_instrs ~jobs:1 ~store:st
-          ~context_cap:2 ()
-      in
-      let digests =
-        List.map (fun n -> ctx_digest (Experiments.Harness.context h (app n))) apps
-      in
-      Alcotest.(check bool)
-        "resident bounded by cap" true
-        (Experiments.Harness.resident_contexts h <= 2);
-      Alcotest.(check bool)
-        "evictions happened" true
-        (Experiments.Harness.context_evictions h >= 2);
-      (* evicted contexts come back transparently — and identically *)
-      List.iter2
-        (fun n d ->
-          Alcotest.(check string)
-            (n ^ " reloads identically") d
-            (ctx_digest (Experiments.Harness.context h (app n))))
-        apps digests;
-      Alcotest.(check bool)
-        "still bounded after reloads" true
-        (Experiments.Harness.resident_contexts h <= 2))
+(* The harness memos are keyed by content, not by app name: a profile
+   edited under the same name gets its own context and simulation, each
+   equal to a fresh prepare + simulate. *)
+let test_harness_keys_follow_profile () =
+  let acrobat = app "Acrobat" in
+  let reseeded = { acrobat with seed = acrobat.seed + 1 } in
+  let h = Experiments.Harness.create ~instrs:small_instrs ~jobs:1 () in
+  let stats_digest st = Digest.to_hex (Digest.string (Marshal.to_string st [])) in
+  let check_fresh p =
+    let st = Experiments.Harness.stats h p Critics.Scheme.Critic in
+    let fresh =
+      Critics.Run.stats
+        (Critics.Run.prepare ~instrs:small_instrs p)
+        Critics.Scheme.Critic
+    in
+    Alcotest.(check string)
+      (p.name ^ " = fresh prepare + stats") (stats_digest fresh)
+      (stats_digest st);
+    st
+  in
+  let a = check_fresh acrobat in
+  let b = check_fresh reseeded in
+  Alcotest.(check bool) "reseeded profile simulates afresh" true
+    (a.Pipeline.Stats.cycles <> b.cycles)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation-free windowed core                                      *)
@@ -602,7 +618,8 @@ let () =
           Alcotest.test_case "harness warm stats" `Quick test_harness_warm_stats;
           Alcotest.test_case "sensitivity renders across stores" `Quick
             test_sensitivity_renders_across_stores;
-          Alcotest.test_case "lru context cap" `Quick test_lru_context_cap;
+          Alcotest.test_case "harness keys follow profile" `Quick
+            test_harness_keys_follow_profile;
         ] );
       ( "alloc",
         [

@@ -323,6 +323,58 @@ let test_atomic_write_sweeps_crash_tmp () =
       Alcotest.(check int) "sweep is idempotent" 0
         (Util.Atomic_io.sweep_tmp dir))
 
+(* -------- Memo -------- *)
+
+(* Both computations wait until both domains are inside one, so both
+   miss and both compute: the first insert must win for both callers. *)
+let test_memo_race_first_insert_wins () =
+  let m = Util.Memo.create () in
+  let entered = Atomic.make 0 in
+  let compute () =
+    Atomic.incr entered;
+    while Atomic.get entered < 2 do
+      Domain.cpu_relax ()
+    done;
+    ref 0
+  in
+  let other = Domain.spawn (fun () -> Util.Memo.find_or_add m "k" compute) in
+  let mine = Util.Memo.find_or_add m "k" compute in
+  let theirs = Domain.join other in
+  Alcotest.(check bool) "physically equal" true (mine == theirs);
+  Alcotest.(check int) "one insert" 1 (Util.Memo.inserts m);
+  Alcotest.(check int) "one entry" 1 (Util.Memo.length m)
+
+let test_memo_capacity_evicts_lru () =
+  let m = Util.Memo.create ~capacity:1 () in
+  List.iter
+    (fun k -> ignore (Util.Memo.find_or_add m k (fun () -> k)))
+    [ "A"; "B"; "A" ];
+  Alcotest.(check int) "inserts" 3 (Util.Memo.inserts m);
+  Alcotest.(check int) "evictions" 2 (Util.Memo.evictions m);
+  Alcotest.(check (option string))
+    "A resident" (Some "A") (Util.Memo.find_opt m "A");
+  Alcotest.(check (option string)) "B evicted" None (Util.Memo.find_opt m "B")
+
+let test_memo_raise_leaves_no_entry () =
+  let m = Util.Memo.create () in
+  let calls = ref 0 in
+  (match Util.Memo.find_or_add m 1 (fun () -> incr calls; failwith "boom") with
+  | _ -> Alcotest.fail "computation did not raise"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "no entry" 0 (Util.Memo.length m);
+  Alcotest.(check int) "recomputed" 7
+    (Util.Memo.find_or_add m 1 (fun () -> incr calls; 7));
+  Alcotest.(check int) "two computations" 2 !calls
+
+let test_memo_nested () =
+  let m = Util.Memo.create () in
+  let outer =
+    Util.Memo.find_or_add m "outer" (fun () ->
+        1 + Util.Memo.find_or_add m "inner" (fun () -> 41))
+  in
+  Alcotest.(check int) "nested value" 42 outer;
+  Alcotest.(check int) "both inserted" 2 (Util.Memo.inserts m)
+
 let () =
   Alcotest.run "util"
     [
@@ -365,6 +417,16 @@ let () =
             test_atomic_write_crash_points;
           Alcotest.test_case "crash tmp swept" `Quick
             test_atomic_write_sweeps_crash_tmp;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "race keeps first insert" `Quick
+            test_memo_race_first_insert_wins;
+          Alcotest.test_case "capacity evicts lru" `Quick
+            test_memo_capacity_evicts_lru;
+          Alcotest.test_case "raise leaves no entry" `Quick
+            test_memo_raise_leaves_no_entry;
+          Alcotest.test_case "nested find_or_add" `Quick test_memo_nested;
         ] );
       ("properties", qcheck_cases);
     ]
