@@ -6,9 +6,22 @@ let app_arg =
   let doc = "Application name (see `critics apps' for the list)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
 
+(* A count of at least 1: zero or negative --instrs/--jobs values are
+   usage errors (exit 124), not a NaN speedup or a silent no-op. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (Printf.sprintf "invalid value %S, expected an integer >= 1" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let instrs_arg =
-  let doc = "Dynamic work instructions to simulate per run." in
-  Arg.(value & opt int Critics.Run.default_instrs & info [ "instrs" ] ~doc)
+  let doc = "Dynamic work instructions to simulate per run (at least 1)." in
+  Arg.(
+    value
+    & opt positive_int Critics.Run.default_instrs
+    & info [ "instrs" ] ~doc)
 
 let lookup_app name =
   match Workload.Apps.find name with
@@ -195,9 +208,12 @@ let experiment_cmd =
     let doc =
       "Domains to evaluate simulations on (default: CRITICS_JOBS if set, \
        else the machine's recommended domain count).  Results are \
-       bit-identical for every value."
+       bit-identical for every value (at least 1)."
     in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (some positive_int) None
+      & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let run id instrs jobs =
     let h = Experiments.Harness.create ~instrs ?jobs () in
@@ -628,7 +644,9 @@ let cache_cmd =
     Cmd.v
       (Cmd.info "stat"
          ~doc:
-           "Show the store's location, versions, entry count and on-disk \
+           "Show the store's location, entry format, build fingerprint \
+            (code: the digest of this executable, which every key this \
+            program reads or writes includes), entry count and on-disk \
             size")
       Term.(const stat $ dir_arg)
   in
@@ -641,8 +659,8 @@ let cache_cmd =
     (Cmd.info "cache"
        ~doc:
          "Inspect or clear the prepared-context store (the on-disk cache \
-          bench and the harness reuse across runs when CRITICS_CACHE_DIR \
-          is set)")
+          bench and the harness reuse across runs of the same build when \
+          CRITICS_CACHE_DIR is set)")
     [ stat_cmd; clear_cmd ]
 
 (* ------------------------------ main ----------------------------- *)

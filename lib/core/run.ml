@@ -12,27 +12,9 @@ type app_context = {
 
 let default_instrs = 120_000
 
-(* Bump whenever the marshalled shape of the cached tuple — or of any
-   type reachable from it — changes.  [Store.code_version] already
-   invalidates on every commit; this constant covers dirty-worktree
-   edits, where the git description stays "<sha>-dirty" across edits. *)
-let context_format = "critics-ctx-1"
-
 let context_key ?(instrs = default_instrs) ?(sample = 0)
-    ?(profile_window = 512) ?threshold ?(profile_fraction = 1.0)
     (profile : Workload.Profile.t) =
-  Store.key ~kind:"context"
-    [
-      context_format;
-      Marshal.to_string profile [];
-      string_of_int instrs;
-      string_of_int sample;
-      string_of_int profile_window;
-      (match threshold with
-      | None -> "default"
-      | Some f -> Printf.sprintf "%h" f);
-      Printf.sprintf "%h" profile_fraction;
-    ]
+  Store.key ~kind:"context" (profile, instrs, sample)
 
 (* The tuple a context entry marshals: everything [prepare] derives.
    The memos are rebuilt fresh (they hold a mutex). *)
@@ -40,20 +22,15 @@ type context_payload =
   Prog.Program.t * int * Prog.Walk.path * int * Profiler.Critic_db.t
 
 let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
-    ?(profile_window = 512) ?threshold ?(profile_fraction = 1.0)
     (profile : Workload.Profile.t) =
-  let key =
-    context_key ~instrs ~sample ~profile_window ?threshold ~profile_fraction
-      profile
-  in
+  let key = context_key ~instrs ~sample profile in
   let build () : context_payload =
     let program = Workload.Gen.program profile in
     let seed = (profile.seed lxor 0x5EED) + (sample * 0x1000193) in
     let path = Prog.Walk.path_for_instrs program ~seed ~instrs in
     let event_count = Prog.Trace.length_of_path program path in
     let db =
-      Profiler.Profile_run.profile_stream ~window:profile_window ?threshold
-        ~fraction:profile_fraction ~total_events:event_count
+      Profiler.Profile_run.profile_stream ~total_events:event_count
         (Prog.Trace.Stream.of_program program ~seed path)
     in
     (program, seed, path, event_count, db)
@@ -191,7 +168,6 @@ let stats ?(config = Pipeline.Config.table_i) ?probe ?variant ctx scheme =
 let speedup ~base (st : Pipeline.Stats.t) =
   (float_of_int base.Pipeline.Stats.cycles /. float_of_int st.cycles) -. 1.0
 
-let energy ?params ~base st =
-  Energy.Model.saving
-    ~base:(Energy.Model.of_stats ?params base)
-    ~optimized:(Energy.Model.of_stats ?params st)
+let energy ~base st =
+  Energy.Model.saving ~base:(Energy.Model.of_stats base)
+    ~optimized:(Energy.Model.of_stats st)

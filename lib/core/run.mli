@@ -25,8 +25,8 @@ type app_context = {
       (** block temperatures per scheme ({!heat}), unbounded *)
   ckey : string;
       (** content fingerprint of everything this context was prepared
-          from (app profile bytes, preparation parameters, code
-          version) — the key derived artifacts chain from *)
+          from ({!context_key}: app profile, [instrs], [sample] and the
+          build) — the key derived artifacts chain from *)
 }
 
 val default_instrs : int
@@ -35,35 +35,25 @@ val default_instrs : int
     for laptop turnaround (documented in DESIGN.md). *)
 
 val prepare :
-  ?store:Store.t ->
-  ?instrs:int ->
-  ?sample:int ->
-  ?profile_window:int ->
-  ?threshold:float ->
-  ?profile_fraction:float ->
-  Workload.Profile.t ->
+  ?store:Store.t -> ?instrs:int -> ?sample:int -> Workload.Profile.t ->
   app_context
-(** Generate, walk and profile one application.  [sample] (default 0)
-    selects one of the independent execution samples of the same
-    program — the equivalent of the paper's 100 random samples per app:
-    different control-flow walk, same code.
+(** Generate, walk and profile one application (default profiler
+    settings: {!Profiler.Profile_run.profile_stream}; the re-profiled
+    programs of the sensitivity studies are {!variant}s).  [sample]
+    (default 0) selects one of the independent execution samples of the
+    same program — the equivalent of the paper's 100 random samples per
+    app: different control-flow walk, same code.
 
     With [?store], the expensive derivation (generate → walk → profile)
-    is cached: a hit deserializes the prepared artifacts instead of
-    recomputing them, keyed on the profile bytes, every preparation
-    parameter and the code version, so any change recomputes.  Corrupt
-    or mismatched entries silently fall back to recompute. *)
+    is cached under {!context_key}: a hit deserializes the prepared
+    artifacts instead of recomputing them.  Corrupt or mismatched
+    entries silently fall back to recompute. *)
 
-val context_key :
-  ?instrs:int ->
-  ?sample:int ->
-  ?profile_window:int ->
-  ?threshold:float ->
-  ?profile_fraction:float ->
-  Workload.Profile.t ->
-  Store.key
-(** The store key {!prepare} uses for these inputs — exposed so tests
-    and tools can probe or invalidate specific entries. *)
+val context_key : ?instrs:int -> ?sample:int -> Workload.Profile.t -> Store.key
+(** The store key {!prepare} uses: {!Store.key} of the profile, [instrs]
+    and [sample], so an edit to any of them — or a rebuild — misses.
+    Exposed so tests and tools can probe or invalidate specific
+    entries. *)
 
 val transformed : app_context -> Scheme.t -> Prog.Program.t
 (** The program a scheme's compiler pipeline produces, memoized in the
@@ -130,7 +120,6 @@ val speedup : base:Pipeline.Stats.t -> Pipeline.Stats.t -> float
 (** Fractional cycle-count improvement over [base] for the same work. *)
 
 val energy :
-  ?params:Energy.Model.params ->
   base:Pipeline.Stats.t ->
   Pipeline.Stats.t ->
   Energy.Model.saving

@@ -74,18 +74,17 @@ let spread dfg t =
     (Graph.node dfg last).Graph.event.Prog.Trace.seq
     - (Graph.node dfg first).Graph.event.Prog.Trace.seq
 
-let prefixes ?(min_len = 2) ?max_len t =
+let prefixes t =
   let n = List.length t.nodes in
-  let max_len = min n (Option.value ~default:n max_len) in
   let rec take k = function
     | [] -> []
     | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
   in
   let rec go k acc =
-    if k > max_len then List.rev acc
+    if k > n then List.rev acc
     else go (k + 1) ({ nodes = take k t.nodes } :: acc)
   in
-  if min_len > max_len then [] else go min_len []
+  go 2 []
 
 let enumerate_greedy ?(max_len = 4096) dfg =
   let n = Graph.size dfg in

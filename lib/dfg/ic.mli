@@ -37,6 +37,5 @@ val spread : Graph.t -> t -> int
 (** Dynamic-stream distance (in instructions) between the first and the
     last member — the Fig. 5a "spread". *)
 
-val prefixes : ?min_len:int -> ?max_len:int -> t -> t list
-(** All prefixes with length in [min_len, max_len] (defaults 2 and the
-    chain length), shortest first. *)
+val prefixes : t -> t list
+(** All prefixes of length 2 or more, shortest first. *)

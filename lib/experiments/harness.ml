@@ -33,7 +33,6 @@ let create ?(instrs = Critics.Run.default_instrs) ?jobs ?telemetry ?store () =
 
 let instrs t = t.instrs
 let jobs t = t.jobs
-let telemetry_window t = t.telemetry
 let store t = t.store
 let pool t = Lazy.force t.pool
 let resident_contexts t = Util.Memo.length t.contexts
@@ -55,17 +54,11 @@ let context_job profile =
     job_config = Pipeline.Config.table_i;
   }
 
-(* The one key of a simulation: a digest of the job's marshalled values,
-   so it follows the *actual* profile, machine configuration and variant,
+(* The one key of a simulation: the store key of the job's values, so
+   it follows the *actual* profile, machine configuration and variant,
    not a caller-supplied label — distinct values never collide and
-   structurally equal ones share one entry.  No sharing: equal values
-   must marshal to equal bytes whatever their physical sharing. *)
-let job_key j =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (j.job_profile, j.job_scheme, j.job_variant, j.job_config)
-          [ Marshal.No_sharing ]))
+   structurally equal ones share one entry. *)
+let job_key j = Store.key_digest (Store.key ~kind:"job" j)
 
 let context t profile =
   Util.Memo.find_or_add t.contexts
@@ -89,7 +82,7 @@ let result t j scheme =
       match t.telemetry with
       | None ->
         ( Store.memo t.store
-            (Store.key ~kind:"stats" [ ctx.Critics.Run.ckey; key ])
+            (Store.key ~kind:"stats" (ctx.Critics.Run.ckey, key))
             (fun () -> run ()),
           None )
       | Some window ->
@@ -172,16 +165,16 @@ let run_batch t jobs =
   ignore (Parallel.Pool.map_list ~chunk:1 (pool t) (context t) profiles);
   (* Phase 2: every distinct simulation.  Jobs are ordered by
      (app, scheme) so consecutive jobs share the context's
-     transformed-program slot. *)
+     transformed-program slot, then by their values: not by [job_key],
+     whose digest changes with every build and would reorder the
+     simulations on each rebuild. *)
   let sims =
     List.filter_map
       (fun j ->
         match j.job_scheme with
         | None -> None
         | Some scheme ->
-          let order =
-            (j.job_profile.name, Critics.Scheme.name scheme, job_key j)
-          in
+          let order = (j.job_profile.name, Critics.Scheme.name scheme, j) in
           Some (order, j, scheme))
       jobs
     |> List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b)

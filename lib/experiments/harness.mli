@@ -50,9 +50,6 @@ val instrs : t -> int
 val jobs : t -> int
 (** Parallelism width this harness was created with. *)
 
-val telemetry_window : t -> int option
-(** The probe window size, or [None] when telemetry is disabled. *)
-
 val store : t -> Store.t option
 (** The attached prepared-artifact store, if any. *)
 
@@ -141,9 +138,10 @@ val context_job : Workload.Profile.t -> job
     database) — for experiments that consume contexts directly. *)
 
 val job_key : job -> string
-(** The job's key: a digest of its (app profile, scheme, variant,
-    config) values.  It keys the in-memory results memo and, joined
-    with the context fingerprint, the job's [stats] store entry. *)
+(** The job's key: the {!Store.key_digest} of its (app profile, scheme,
+    variant, config) values.  It keys the in-memory results memo and,
+    paired with the context fingerprint, the job's [stats] store
+    entry. *)
 
 val run_batch : t -> job list -> unit
 (** Evaluate every job across the harness's domain pool through the

@@ -37,12 +37,14 @@ let thumb_convertible t =
        (t.srcs @ Option.to_list t.dst)
 
 let make ~uid ~opcode ?dst ?(srcs = []) ?(cond = Always) ?(encoding = Arm32)
-    ?mem ?chain ?(cdp_count = 0) () =
+    ?mem () =
   (match mem with
   | Some _ when not (Opcode.is_memory opcode) ->
     invalid_arg "Instr.make: memory signature on non-memory opcode"
   | _ -> ());
-  let t = { uid; opcode; dst; srcs; cond; encoding; mem; chain; cdp_count } in
+  let t =
+    { uid; opcode; dst; srcs; cond; encoding; mem; chain = None; cdp_count = 0 }
+  in
   if encoding = Thumb16 && opcode <> Opcode.Cdp_switch
      && not (thumb_convertible t)
   then invalid_arg "Instr.make: instruction not representable in Thumb16";

@@ -58,12 +58,11 @@ val make :
   ?cond:cond ->
   ?encoding:encoding ->
   ?mem:mem_signature ->
-  ?chain:chain_tag ->
-  ?cdp_count:int ->
   unit ->
   t
 (** Smart constructor; defaults: no operands, [Always], [Arm32], no
-    memory signature, no chain, [cdp_count = 0]. Raises
+    memory signature.  The result has no chain tag and [cdp_count = 0]
+    (the CritIC pass sets both on its copies).  Raises
     [Invalid_argument] if a memory signature is attached to a non-memory
     opcode or a Thumb16 encoding violates {!thumb_convertible}. *)
 

@@ -194,14 +194,6 @@ let stats t =
     writebacks = t.writebacks;
   }
 
-let reset_stats t =
-  t.accesses <- 0;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.fills <- 0;
-  t.prefetch_fills <- 0;
-  t.writebacks <- 0
-
 let miss_rate t =
   if t.accesses = 0 then 0.0
   else float_of_int t.misses /. float_of_int t.accesses

@@ -84,7 +84,6 @@ val invalidate_all : t -> unit
     pending victim report all return to the post-{!create} state. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val miss_rate : t -> float
 (** Misses per access; 0 when never accessed. *)

@@ -38,4 +38,3 @@ val access : t -> now:int -> write:bool -> int -> int
     state. *)
 
 val stats : t -> stats
-val row_hit_rate : t -> float

@@ -5,12 +5,6 @@ let iprefetch_name = function
   | Ip_next_line -> "next_line"
   | Ip_fetch_directed -> "fetch_directed"
 
-let iprefetch_of_string = function
-  | "none" -> Some Ip_none
-  | "next_line" -> Some Ip_next_line
-  | "fetch_directed" -> Some Ip_fetch_directed
-  | _ -> None
-
 let all_iprefetch = [ Ip_none; Ip_next_line; Ip_fetch_directed ]
 
 type config = {

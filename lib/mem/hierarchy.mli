@@ -24,7 +24,6 @@ type iprefetch =
           stream runs two lines ahead at confidence *)
 
 val iprefetch_name : iprefetch -> string
-val iprefetch_of_string : string -> iprefetch option
 val all_iprefetch : iprefetch list
 
 type config = {

@@ -6,13 +6,6 @@ let kind_name = function
   | Brrip -> "brrip"
   | Trrip -> "trrip"
 
-let kind_of_string = function
-  | "lru" -> Some Lru
-  | "srrip" -> Some Srrip
-  | "brrip" -> Some Brrip
-  | "trrip" -> Some Trrip
-  | _ -> None
-
 let all_kinds = [ Lru; Srrip; Brrip; Trrip ]
 
 (* 2-bit RRPVs for the whole RRIP family. *)

@@ -71,8 +71,6 @@ let make ~entries ~block_digests ~final_regs =
   { entries; block_digests; final_regs;
     digest = log_digest entries final_regs }
 
-let num_entries t = Array.length t.entries
-
 let mem_addr_of_entry e =
   List.fold_left
     (fun acc eff ->
@@ -105,8 +103,6 @@ let pp_entry fmt e =
        ~pp_sep:(fun fmt () -> Format.fprintf fmt "; ")
        pp_effect)
     e.effects
-
-let entry_to_string e = Format.asprintf "%a" pp_entry e
 
 (* ---------------------------- comparison -------------------------- *)
 

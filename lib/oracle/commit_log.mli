@@ -37,8 +37,6 @@ val make :
   final_regs:value array ->
   t
 
-val num_entries : t -> int
-
 val mem_addr_of_entry : entry -> int
 (** Memory address touched, or [-1] when the entry has no memory effect. *)
 
@@ -56,7 +54,6 @@ val mix_int : int64 -> int -> int64
 
 val pp_effect : Format.formatter -> effect_ -> unit
 val pp_entry : Format.formatter -> entry -> unit
-val entry_to_string : entry -> string
 
 type divergence = { at : int; expected : string; got : string }
 

@@ -321,13 +321,13 @@ let check_pipeline p (name, env, passes) =
       (Printf.sprintf "[%s/%s] %s" name e.Transform.Pipeline.failed_pass
          e.Transform.Pipeline.detail)
 
-let check_pipelines ?(variants = pipeline_variants) p =
+let check_pipelines p =
   List.fold_left
     (fun acc v ->
       let* n = acc in
       let* _ = check_pipeline p v in
       Ok (n + 1))
-    (Ok 0) (variants p)
+    (Ok 0) (pipeline_variants p)
 
 let in_context name r =
   Result.map_error (fun msg -> Printf.sprintf "[%s] %s" name msg) r
@@ -360,7 +360,7 @@ let check_variant ?(configs = configs) p (name, program') =
       Ok (total + n))
     (Ok 0) configs
 
-let check_prepared ?(configs = configs) ?variant_configs ?(variants = true) p =
+let check_prepared ?(configs = configs) ?variant_configs p =
   (* Baseline crosses the whole sweep; variants default to a cut-down
      sweep (first + last entry) to keep fuzz loops fast, unless the
      caller asks for more. *)
@@ -393,16 +393,13 @@ let check_prepared ?(configs = configs) ?variant_configs ?(variants = true) p =
         Ok (total + n))
       (Ok 0) configs
   in
-  if not variants then Ok base_events
-  else
-    List.fold_left
-      (fun acc variant ->
-        let* total = acc in
-        let* n = check_variant ~configs:variant_configs p variant in
-        Ok (total + n))
-      (Ok base_events) (transform_variants p)
+  List.fold_left
+    (fun acc variant ->
+      let* total = acc in
+      let* n = check_variant ~configs:variant_configs p variant in
+      Ok (total + n))
+    (Ok base_events) (transform_variants p)
 
-let check_program ?configs ?variant_configs ?(variants = true) ?(instrs = 2_000)
-    program ~seed =
+let check_program ?configs ?variant_configs ?(instrs = 2_000) program ~seed =
   let p = prepare ~instrs program ~seed in
-  check_prepared ?configs ?variant_configs ~variants p
+  check_prepared ?configs ?variant_configs p

@@ -103,12 +103,9 @@ val check_pipeline :
     ["[variant/pass] detail"], attributing the divergence to the exact
     stage that introduced it. *)
 
-val check_pipelines :
-  ?variants:(prepared -> (string * Transform.Pass.env * Transform.Pass.t list) list) ->
-  prepared ->
-  (int, string) result
-(** {!check_pipeline} over every variant (default
-    {!pipeline_variants}); returns the number of pipelines checked. *)
+val check_pipelines : prepared -> (int, string) result
+(** {!check_pipeline} over every {!pipeline_variants} entry; returns the
+    number of pipelines checked. *)
 
 val check_variant :
   ?configs:(string * Pipeline.Config.t) list ->
@@ -123,18 +120,15 @@ val check_variant :
 val check_prepared :
   ?configs:(string * Pipeline.Config.t) list ->
   ?variant_configs:(string * Pipeline.Config.t) list ->
-  ?variants:bool ->
   prepared ->
   (int, string) result
 (** The whole suite on one program: walk, baseline trace, baseline
-    simulation across [configs], and (unless [variants:false]) every
-    transform variant across [variant_configs] (default: first and last
+    simulation across [configs], and every transform variant across [variant_configs] (default: first and last
     of [configs]).  Returns the total number of retirements compared. *)
 
 val check_program :
   ?configs:(string * Pipeline.Config.t) list ->
   ?variant_configs:(string * Pipeline.Config.t) list ->
-  ?variants:bool ->
   ?instrs:int ->
   Prog.Program.t ->
   seed:int ->

@@ -2,7 +2,6 @@ type t = {
   confidence : int array; (* 2-bit counters; predict critical when >= 2 *)
   tags : int array;
   threshold : int;
-  mutable hits : int;
 }
 
 let create ?(entries = 4096) ~threshold () =
@@ -10,16 +9,13 @@ let create ?(entries = 4096) ~threshold () =
     confidence = Array.make entries 0;
     tags = Array.make entries (-1);
     threshold;
-    hits = 0;
   }
 
 let slot t pc = (pc lsr 1) mod Array.length t.confidence
 
 let predict t ~pc =
   let i = slot t pc in
-  let critical = t.tags.(i) = pc && t.confidence.(i) >= 2 in
-  if critical then t.hits <- t.hits + 1;
-  critical
+  t.tags.(i) = pc && t.confidence.(i) >= 2
 
 let train t ~pc ~fanout =
   let i = slot t pc in
@@ -36,5 +32,3 @@ let train t ~pc ~fanout =
     let c = t.confidence.(i) in
     t.confidence.(i) <- (if c <= 0 then 0 else c - 1)
   end
-
-let predicted_critical t = t.hits

@@ -39,9 +39,13 @@ let single_block_segments dfg nodes =
 let chain_criticality ?(metric = Metric.Average_fanout) dfg nodes =
   Metric.score metric (List.map (Dfg.fanout dfg) nodes)
 
+(* Fanout at which one instruction is high-fanout (Fig. 1b gaps), and
+   the IC enumeration budget per window. *)
+let fanout_threshold = 4
+let max_paths_per_window = 512
+
 let profile_stream ?(window = 512) ?(threshold = 4.0) ?(max_len = 9)
-    ?(fanout_threshold = 4) ?(fraction = 1.0) ?(max_paths_per_window = 512)
-    ?(metric = Metric.Average_fanout) ~total_events
+    ?(fraction = 1.0) ?(metric = Metric.Average_fanout) ~total_events
     (cursor : Prog.Trace.Stream.cursor) : Critic_db.t =
   let n = total_events in
   let limit =
@@ -210,8 +214,8 @@ let profile_stream ?(window = 512) ?(threshold = 4.0) ?(max_len = 9)
   { Critic_db.sites; total_work = !total_work; ic_lengths; ic_spreads;
     chain_gaps }
 
-let profile ?window ?threshold ?max_len ?fanout_threshold ?fraction
-    ?max_paths_per_window ?metric (trace : Prog.Trace.t) : Critic_db.t =
-  profile_stream ?window ?threshold ?max_len ?fanout_threshold ?fraction
-    ?max_paths_per_window ?metric ~total_events:(Array.length trace)
+let profile ?window ?threshold ?max_len ?fraction ?metric
+    (trace : Prog.Trace.t) : Critic_db.t =
+  profile_stream ?window ?threshold ?max_len ?fraction ?metric
+    ~total_events:(Array.length trace)
     (Prog.Trace.Stream.of_trace trace)

@@ -13,9 +13,7 @@ val profile_stream :
   ?window:int ->
   ?threshold:float ->
   ?max_len:int ->
-  ?fanout_threshold:int ->
   ?fraction:float ->
-  ?max_paths_per_window:int ->
   ?metric:Metric.t ->
   total_events:int ->
   Prog.Trace.Stream.cursor ->
@@ -31,9 +29,7 @@ val profile :
   ?window:int ->
   ?threshold:float ->
   ?max_len:int ->
-  ?fanout_threshold:int ->
   ?fraction:float ->
-  ?max_paths_per_window:int ->
   ?metric:Metric.t ->
   Prog.Trace.t ->
   Critic_db.t
@@ -49,14 +45,13 @@ val profile :
       (see DESIGN.md);
     - [max_len]: longest chain prefix recorded as a compiler candidate
       (default 9 — one CDP covers at most 9 instructions);
-    - [fanout_threshold]: fanout at which a single instruction counts as
-      high-fanout for the Fig. 1b gap histogram (default 4, matching
-      [threshold]);
     - [fraction]: profile only the leading fraction of the trace — the
       partial-profiling axis of Fig. 12b (default 1.0);
-    - [max_paths_per_window]: IC enumeration budget per window;
     - [metric]: the chain-criticality scoring function (default the
       paper's average fanout per instruction; see {!Metric}).
+
+    An instruction with fanout 4 or more counts as high-fanout for the
+    Fig. 1b gap histogram, and each window enumerates at most 512 ICs.
 
     Candidate chains are the single-block, single-visit segments of the
     enumerated ICs (the hoisting compiler pass works within a basic

@@ -589,7 +589,5 @@ let is_work (e : event) =
   && (e.instr.uid >= control_uid_base
       || not (Isa.Opcode.is_control e.instr.opcode))
 
-let instr_events t = Array.to_list t |> List.filter is_work
-
 let work_count t =
   Array.fold_left (fun acc e -> if is_work e then acc + 1 else acc) 0 t

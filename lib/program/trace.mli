@@ -125,10 +125,6 @@ val is_work : event -> bool
 (** True for useful-work events: everything except synthetic block
     terminators and CDP markers. *)
 
-val instr_events : t -> event list
-(** Events excluding synthetic terminators and CDP markers — the
-    "useful work" instructions used for IPC-style accounting. *)
-
 val work_count : t -> int
 (** Number of useful-work events ({!instr_events} length). *)
 

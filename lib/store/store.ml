@@ -1,23 +1,24 @@
 let format_version = "critics-store-1"
 
-let code_version_memo = ref None
+(* The build's own fingerprint: the digest of the running executable,
+   so any rebuild with changed code (committed or not) changes every key.
+   An unreadable executable gets a value no other process can produce,
+   so its lookups all miss instead of matching another build's entries.
+   Computed once; a race between domains keeps the first value set. *)
+let code_version_memo = Atomic.make None
 
 let code_version () =
-  match !code_version_memo with
+  match Atomic.get code_version_memo with
   | Some v -> v
   | None ->
     let v =
-      try
-        let ic =
-          Unix.open_process_in "git describe --always --dirty 2>/dev/null"
-        in
-        let line = try input_line ic with End_of_file -> "" in
-        ignore (Unix.close_process_in ic);
-        if line = "" then "unknown" else line
-      with _ -> "unknown"
+      try Digest.to_hex (Digest.file Sys.executable_name)
+      with Sys_error _ ->
+        Printf.sprintf "unreadable-%d-%d" (Unix.getpid ())
+          (Random.State.bits (Random.State.make_self_init ()))
     in
-    code_version_memo := Some v;
-    v
+    ignore (Atomic.compare_and_set code_version_memo None (Some v));
+    Option.get (Atomic.get code_version_memo)
 
 type t = {
   dir : string;
@@ -70,19 +71,13 @@ let dir t = t.dir
 
 type key = { kind : string; digest : string (* hex *) }
 
-(* Length-framed concatenation: no choice of part contents can make two
-   distinct part lists serialize identically. *)
-let key ?code_version:cv ~kind parts =
+(* The one key derivation.  No sharing: structurally equal values must
+   marshal to equal bytes whatever their physical sharing. *)
+let key ?code_version:cv ~kind v =
   if String.contains kind '/' then invalid_arg "Store.key: kind with '/'";
   let cv = match cv with Some v -> v | None -> code_version () in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun part ->
-      Buffer.add_string buf (string_of_int (String.length part));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf part)
-    (format_version :: cv :: kind :: parts);
-  { kind; digest = Digest.to_hex (Digest.string (Buffer.contents buf)) }
+  let bytes = Marshal.to_string (cv, kind, v) [ Marshal.No_sharing ] in
+  { kind; digest = Digest.to_hex (Digest.string bytes) }
 
 let key_digest k = k.digest
 

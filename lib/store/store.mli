@@ -1,7 +1,7 @@
 (** Versioned on-disk cache of prepared artifacts.
 
     Prepared app contexts and simulation results are deterministic
-    functions of (app profile × configuration × code version), so
+    functions of (app profile × configuration × build), so
     recomputing them on every invocation is pure waste — the same "pay
     once, reuse across runs" opportunity the paper's caching analysis
     identifies in app content loads.  This store makes
@@ -12,9 +12,9 @@
     Design rules, in order:
 
     - {b Wrong answers are impossible; stale answers are impossible.}
-      A key digests the cache-format version, the code version (git
-      describe), an artifact kind, and every caller-supplied input
-      part.  Change any of them and the lookup misses.  Entries carry
+      A key ({!key}) digests the build's fingerprint ({!code_version}),
+      an artifact kind and the caller's input value.  Change any of
+      them and the lookup misses.  Entries carry
       their key digest, payload digest and payload length in a header;
       [find] re-verifies all three and treats any mismatch — truncated
       write, flipped bit, hash collision across kinds — as a miss
@@ -32,13 +32,17 @@
 type t
 
 val format_version : string
-(** Baked into every key; bump on any layout/serialization change. *)
+(** Written into every entry's header; an entry with another format
+    reads as corrupt. *)
 
 val code_version : unit -> string
-(** [git describe --always --dirty] of the running build, computed once
-    and cached; ["unknown"] when git is unavailable.  Baked into every
-    key so rebuilt code never reuses stale artifacts (conservative:
-    any new commit invalidates). *)
+(** The build fingerprint: the hex digest of the running executable
+    ([Sys.executable_name]), computed once per process.  Baked into
+    every key, so a rebuild with any changed code — committed or not —
+    never reuses an entry, and two different executables (bench and
+    [critics_cli]) never share one.  It does not depend on the working
+    directory.  When the executable cannot be read the value is unique
+    to the process, so every lookup misses. *)
 
 val open_dir :
   ?quarantine_limit:int -> ?inject:Util.Atomic_io.injector -> string -> t
@@ -57,12 +61,16 @@ val dir : t -> string
 
 type key
 
-val key : ?code_version:string -> kind:string -> string list -> key
-(** Fingerprint of an artifact: digests [format_version],
-    [code_version] (default {!code_version}[ ()]), the [kind] and every
-    part, length-framed so part boundaries can't alias.  [kind] must be
-    a single path component (no ['/']); it namespaces the entry on
-    disk.  The [?code_version] override exists for invalidation tests. *)
+val key : ?code_version:string -> kind:string -> 'a -> key
+(** [key ~kind v] fingerprints an artifact: the digest of
+    [code_version] (default {!code_version}[ ()]), [kind] and [v],
+    marshalled together without sharing — so every field of [v] is
+    covered, and structurally equal values get equal keys whatever
+    their physical sharing.  [v] must be plain data: no closures, no
+    cycles, no abstract values whose bytes are not their contents.
+    [kind] must be a single path component (no ['/']); it namespaces
+    the entry on disk.  The [?code_version] override exists for
+    invalidation tests. *)
 
 val key_digest : key -> string
 (** Hex digest of the key — a stable content fingerprint callers can

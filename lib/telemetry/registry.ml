@@ -48,7 +48,6 @@ let counter t name =
 
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
-let counter_value c = c.c
 
 let gauge t name =
   get_or_create t name
@@ -59,7 +58,6 @@ let gauge t name =
 
 let set g v = g.g <- v
 let set_max g v = if v > g.g then g.g <- v
-let gauge_value g = g.g
 
 let histogram t name =
   get_or_create t name
@@ -93,7 +91,6 @@ let observe h v =
   b.(i) <- b.(i) + 1
 
 let hist_count h = h.n
-let hist_sum h = h.sum
 let hist_max h = h.hmax
 
 let quantile h q =

@@ -36,7 +36,6 @@ val counter : t -> string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val counter_value : counter -> int
 
 val gauge : t -> string -> gauge
 (** Get or create the gauge [name] (last-set value; merge takes max, so
@@ -47,8 +46,6 @@ val set : gauge -> int -> unit
 val set_max : gauge -> int -> unit
 (** [set_max g v] is [set g v] only when [v] exceeds the current value. *)
 
-val gauge_value : gauge -> int
-
 val histogram : t -> string -> histogram
 (** Get or create the histogram [name]: 64 power-of-two buckets (bucket
     [b >= 1] holds values in [[2^(b-1), 2^b - 1]], bucket 0 holds
@@ -57,7 +54,6 @@ val histogram : t -> string -> histogram
 val observe : histogram -> int -> unit
 
 val hist_count : histogram -> int
-val hist_sum : histogram -> int
 val hist_max : histogram -> int
 
 val quantile : histogram -> float -> int

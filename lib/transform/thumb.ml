@@ -97,5 +97,5 @@ let run_pass ~min_run program =
   in
   (program, !total)
 
-let opp16 ?(min_run = 3) program = run_pass ~min_run program
+let opp16 program = run_pass ~min_run:3 program
 let compress program = run_pass ~min_run:2 program

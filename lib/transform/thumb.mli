@@ -5,8 +5,7 @@
     nine instructions (the CDP's 3-bit argument covers at most l+1 = 9).
 
     {!opp16} and {!compress} are the two criticality-agnostic schemes of
-    Sec. V: OPP16 converts any run of at least [min_run] (default 3)
-    consecutive convertible instructions without reordering anything;
+    Sec. V: OPP16 converts any run of at least 3 consecutive convertible instructions without reordering anything;
     Compress models the fine-grained profile-guided Thumb conversion of
     Krishnaswamy & Gupta [78], which converts more aggressively (runs of
     at least 2). *)
@@ -25,7 +24,7 @@ val convert_run :
 (** Convert a run (all members must be Thumb-convertible), inserting CDP
     markers.  Returns the replacement instruction sequence. *)
 
-val opp16 : ?min_run:int -> Prog.Program.t -> Prog.Program.t * report
+val opp16 : Prog.Program.t -> Prog.Program.t * report
 (** Opportunistic conversion of every eligible run of 32-bit
     convertible instructions; already-converted (Thumb) instructions and
     CDP markers are left alone, so it composes with the CritIC pass. *)

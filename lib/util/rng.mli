@@ -39,9 +39,6 @@ val geometric : t -> float -> int
 (** [geometric t p] draws the number of failures before the first success
     of a Bernoulli([p]) trial; mean [(1-p)/p].  [p] must be in (0, 1]. *)
 
-val exponential : t -> float -> float
-(** [exponential t mean] draws from Exp with the given mean. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)
 

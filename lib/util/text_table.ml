@@ -46,12 +46,7 @@ let render_kv kvs =
   |> List.map (fun (k, v) -> Printf.sprintf "%s  %s" (pad Left width k) v)
   |> String.concat "\n"
 
-let bar_chart ?(width = 40) ?fmt rows =
-  let fmt =
-    match fmt with
-    | Some f -> f
-    | None -> fun v -> Printf.sprintf "%.1f%%" (100.0 *. v)
-  in
+let bar_chart ?(width = 40) rows =
   let label_w =
     List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 rows
   in
@@ -70,5 +65,6 @@ let bar_chart ?(width = 40) ?fmt rows =
   in
   rows
   |> List.map (fun (l, v) ->
-         Printf.sprintf "%s  %s %s" (pad Left label_w l) (bar v) (fmt v))
+         Printf.sprintf "%s  %s %s" (pad Left label_w l) (bar v)
+           (Printf.sprintf "%.1f%%" (100.0 *. v)))
   |> String.concat "\n"

@@ -11,9 +11,8 @@ val render : ?aligns:align list -> header:string list -> string list list -> str
 val render_kv : (string * string) list -> string
 (** Two-column key/value rendering without a header. *)
 
-val bar_chart :
-  ?width:int -> ?fmt:(float -> string) -> (string * float) list -> string
+val bar_chart : ?width:int -> (string * float) list -> string
 (** Horizontal ASCII bar chart: one row per (label, value), bars scaled
     to the largest absolute value ([width] characters, default 40).
-    Negative values render to the left marker.  [fmt] renders the value
-    label (default percent with one decimal). *)
+    Negative values render to the left marker; each value is labelled as
+    a percentage with one decimal. *)

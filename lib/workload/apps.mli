@@ -22,7 +22,5 @@ val all : Profile.t list
 val find : string -> Profile.t option
 (** Case-insensitive lookup by name. *)
 
-val of_suite : Profile.suite -> Profile.t list
-
 val table_ii : unit -> string
 (** Render Table II (apps and the activities performed). *)

@@ -24,6 +24,8 @@ let with_store f = with_dir (fun dir -> f dir (Store.open_dir dir))
 
 let app name = Option.get (Workload.Apps.find name)
 
+let small_instrs = 2_000
+
 (* ------------------------------------------------------------------ *)
 (* Keys                                                               *)
 
@@ -34,7 +36,7 @@ let test_key_deterministic () =
     "same inputs, same digest" (Store.key_digest k1) (Store.key_digest k2)
 
 let test_key_framing () =
-  (* length framing: part boundaries must not alias *)
+  (* marshalled values: list element boundaries must not alias *)
   let k1 = Store.key ~kind:"blob" [ "ab"; "c" ]
   and k2 = Store.key ~kind:"blob" [ "a"; "bc" ]
   and k3 = Store.key ~kind:"blob" [ "abc" ] in
@@ -64,13 +66,6 @@ let test_context_key_sensitivity () =
           (Critics.Run.context_key { acrobat with seed = acrobat.seed + 1 }) );
       ("instrs", Store.key_digest (Critics.Run.context_key ~instrs:7 acrobat));
       ("sample", Store.key_digest (Critics.Run.context_key ~sample:3 acrobat));
-      ( "profile_window",
-        Store.key_digest (Critics.Run.context_key ~profile_window:64 acrobat) );
-      ( "threshold",
-        Store.key_digest (Critics.Run.context_key ~threshold:9.5 acrobat) );
-      ( "profile_fraction",
-        Store.key_digest (Critics.Run.context_key ~profile_fraction:0.5 acrobat)
-      );
     ]
   in
   List.iter
@@ -78,12 +73,12 @@ let test_context_key_sensitivity () =
       Alcotest.(check bool) (what ^ " invalidates") true (d <> base))
     changed
 
-(* The harness's job key, over a random (profile, machine configuration)
-   pair reached from (Acrobat, Table I) by a few field edits.  Every edit
-   changes exactly one field (nested memory and DRAM fields, the
-   profile's name, seed, a float and a range included) to a different
-   value; the property is that one edit always changes the key, while a
-   structurally equal copy with different physical sharing never does. *)
+(* The harness's job key and the context key, over random inputs reached
+   from (Acrobat, Table I) by a few field edits.  Every edit changes
+   exactly one field (nested memory and DRAM fields, every profile field)
+   to a different value; the property is that one edit always changes
+   the key, while a structurally equal copy with different physical
+   sharing never does. *)
 
 let job_key ?(profile = app "Acrobat") ?config ?variant scheme =
   Experiments.Harness.job_key
@@ -180,14 +175,85 @@ let config_edits : (int -> Pipeline.Config.t -> Pipeline.Config.t) array =
     dram (fun d r -> { r with burst_cycles = r.burst_cycles + d });
   |]
 
+(* One edit per Workload.Profile.t field, in declaration order
+   ([profile edits cover every field] checks both). *)
 let profile_edits : (int -> Workload.Profile.t -> Workload.Profile.t) array =
+  let f d x = x +. float_of_int d in
+  let range d (lo, hi) = (lo, hi + d) in
   [|
     (fun d p -> { p with name = p.name ^ string_of_int d });
+    (fun _ p ->
+      {
+        p with
+        suite =
+          next
+            [ Workload.Profile.Mobile; Workload.Profile.Spec_int;
+              Workload.Profile.Spec_float ]
+            p.suite;
+      });
+    (fun d p -> { p with activity = p.activity ^ string_of_int d });
     (fun d p -> { p with seed = p.seed + d });
-    (fun d p -> { p with call_prob = p.call_prob +. float_of_int d });
+    (fun d p -> { p with functions = p.functions + d });
+    (fun d p -> { p with dispatcher_slots = p.dispatcher_slots + d });
     (fun d p ->
-      { p with body_instrs = (fst p.body_instrs, snd p.body_instrs + d) });
+      { p with blocks_per_function = range d p.blocks_per_function });
+    (fun d p -> { p with body_instrs = range d p.body_instrs });
+    (fun d p -> { p with call_prob = f d p.call_prob });
+    (fun d p -> { p with call_locality = f d p.call_locality });
+    (fun d p -> { p with branch_prob = f d p.branch_prob });
+    (fun d p -> { p with loop_prob = f d p.loop_prob });
+    (fun d p -> { p with loop_iterations = p.loop_iterations + d });
+    (fun d p ->
+      { p with branch_bias = (fst p.branch_bias, f d (snd p.branch_bias)) });
+    (fun d p -> { p with chain_groups = range d p.chain_groups });
+    (fun d p -> { p with spine_len = range d p.spine_len });
+    (fun d p -> { p with chain_gap = range d p.chain_gap });
+    (fun d p -> { p with fanout = range d p.fanout });
+    (fun d p -> { p with gap_fanout = range d p.gap_fanout });
+    (fun _ p -> { p with chain_linked = not p.chain_linked });
+    (fun d p -> { p with spine_load_frac = f d p.spine_load_frac });
+    (fun d p -> { p with isolated_groups = range d p.isolated_groups });
+    (fun d p -> { p with isolated_fanout = range d p.isolated_fanout });
+    (fun _ p -> { p with loop_carried = not p.loop_carried });
+    (fun d p -> { p with leaf_load_frac = f d p.leaf_load_frac });
+    (fun d p -> { p with leaf_store_frac = f d p.leaf_store_frac });
+    (fun d p -> { p with load_frac = f d p.load_frac });
+    (fun d p -> { p with store_frac = f d p.store_frac });
+    (fun d p -> { p with mul_frac = f d p.mul_frac });
+    (fun d p -> { p with div_frac = f d p.div_frac });
+    (fun d p -> { p with fp_frac = f d p.fp_frac });
+    (fun d p -> { p with predicated_frac = f d p.predicated_frac });
+    (fun d p -> { p with high_reg_frac = f d p.high_reg_frac });
+    (fun d p ->
+      {
+        p with
+        chain_unconvertible_frac = f d p.chain_unconvertible_frac;
+      });
+    (fun d p -> { p with regions = p.regions + d });
+    (fun d p -> { p with load_stride = p.load_stride + d });
+    (fun d p -> { p with load_working_set = p.load_working_set + d });
+    (fun d p -> { p with load_randomness = f d p.load_randomness });
   |]
+
+(* Edit [i] of the table must change field [i] of the record and no
+   other, and the table must reach every field: a field added to
+   Workload.Profile.t without an edit here fails this test. *)
+let test_profile_edits_cover_fields () =
+  let p = app "Acrobat" in
+  let fields p = Array.init (Obj.size (Obj.repr p)) (Obj.field (Obj.repr p)) in
+  let before = fields p in
+  Alcotest.(check int)
+    "one edit per field" (Array.length before) (Array.length profile_edits);
+  Array.iteri
+    (fun i edit ->
+      let after = fields (edit 1 p) in
+      Array.iteri
+        (fun j v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "edit %d changes field %d only" i j)
+            (i = j) (compare v after.(j) <> 0))
+        before)
+    profile_edits
 
 let job_edits =
   Array.append
@@ -198,22 +264,36 @@ let job_edits =
 let unshared v =
   Marshal.from_string (Marshal.to_string v [ Marshal.No_sharing ]) 0
 
-let edit =
-  QCheck.(pair (int_bound (Array.length job_edits - 1)) (int_range 1 64))
-
-let apply_edit pc (i, d) = job_edits.(i) d pc
-
-let prop_config_bytes_invalidate =
-  QCheck.Test.make ~name:"config bytes invalidate" ~count:300
+(* [key] over a start value with a few random edits from [table], then
+   one more edit: the edit changes the key, an unshared copy keeps it. *)
+let prop_edits_invalidate ~name table start key =
+  let edit =
+    QCheck.(pair (int_bound (Array.length table - 1)) (int_range 1 64))
+  in
+  let apply x (i, d) = table.(i) d x in
+  QCheck.Test.make ~name ~count:300
     QCheck.(pair (list_of_size Gen.(int_range 0 4) edit) edit)
     (fun (edits, e) ->
-      let pc =
-        List.fold_left apply_edit (app "Acrobat", Pipeline.Config.table_i) edits
-      in
-      let key (profile, config) =
-        job_key ~profile ~config Critics.Scheme.Critic
-      in
-      key pc <> key (apply_edit pc e) && key pc = key (unshared pc))
+      let x = List.fold_left apply start edits in
+      key x <> key (apply x e) && key x = key (unshared x))
+
+let prop_config_bytes_invalidate =
+  prop_edits_invalidate ~name:"config bytes invalidate" job_edits
+    (app "Acrobat", Pipeline.Config.table_i) (fun (profile, config) ->
+      job_key ~profile ~config Critics.Scheme.Critic)
+
+let context_edits =
+  Array.append
+    (Array.map (fun f d (p, i, s) -> (f d p, i, s)) profile_edits)
+    [|
+      (fun d (p, instrs, s) -> (p, instrs + d, s));
+      (fun d (p, i, sample) -> (p, i, sample + d));
+    |]
+
+let prop_context_key_invalidates =
+  prop_edits_invalidate ~name:"context key invalidates" context_edits
+    (app "Acrobat", small_instrs, 0) (fun (profile, instrs, sample) ->
+      Store.key_digest (Critics.Run.context_key ~instrs ~sample profile))
 
 let variant_gen =
   QCheck.make
@@ -450,8 +530,6 @@ let test_store_put_crash_points () =
 (* ------------------------------------------------------------------ *)
 (* Prepared-context reuse                                             *)
 
-let small_instrs = 2_000
-
 let ctx_digest (ctx : Critics.Run.app_context) =
   Digest.string
     (Marshal.to_string (ctx.program, ctx.seed, ctx.path, ctx.event_count, ctx.db) [])
@@ -585,9 +663,15 @@ let () =
             test_key_kind_and_code_version;
           Alcotest.test_case "context key sensitivity" `Quick
             test_context_key_sensitivity;
+          Alcotest.test_case "profile edits cover every field" `Quick
+            test_profile_edits_cover_fields;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ prop_config_bytes_invalidate; prop_variant_invalidates ] );
+            [
+              prop_config_bytes_invalidate;
+              prop_context_key_invalidates;
+              prop_variant_invalidates;
+            ] );
       ( "entries",
         [
           Alcotest.test_case "byte-identical roundtrip" `Quick
